@@ -16,7 +16,9 @@ Protocol messages
 ``join-request``   X -> contact A: start the join route towards X's id.
 ``join-reply``     root Z -> X: leaf set, neighborhood, collected rows.
 ``announce``       X -> everyone in its new state: "I have arrived."
-``stop``           shut the node's loop down.
+
+Shutdown is not a message: a node's loop ends only on the local ``None``
+sentinel (:meth:`TransportBase.close_mailbox`) or on cancellation.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 import asyncio
 import itertools
 import random
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.core.errors import DegradedError
 from repro.faults.policy import AttemptLog, RetryPolicy
@@ -46,6 +48,7 @@ ROUTE_TIMEOUT = 10.0  # seconds of real time; generous for CI machines
 #: scrapers reject families without HELP/TYPE; see obs/validate.py).
 LIVE_METRIC_HELP = {
     "live.messages": "Messages sent by live nodes, by protocol kind.",
+    "live.messages.unknown": "Received messages of a kind no handler serves.",
     "live.nodes": "Live (responding) nodes in the cluster.",
     "live.joins": "Completed live join protocols.",
     "live.retries": "Live operation retry attempts, by operation.",
@@ -95,9 +98,7 @@ class LiveNode:
         if self._task is None:
             return
         self._running = False
-        await self.cluster.transport.send(
-            self.node_id, Message(kind="stop", sender=self.node_id)
-        )
+        self.cluster.transport.close_mailbox(self.node_id)
         try:
             await asyncio.wait_for(self._task, timeout=2.0)
         except asyncio.TimeoutError:  # pragma: no cover - defensive
@@ -109,11 +110,14 @@ class LiveNode:
         transport = self.cluster.transport
         while self._running:
             message = await transport.receive(self.node_id)
-            if message is None or message.kind == "stop":
+            if message is None:
                 break
             handler = getattr(self, f"_on_{message.kind.replace('-', '_')}", None)
             if handler is not None:
                 await handler(message)
+            elif self.cluster.obs.enabled:
+                # No per-kind label: the kind string came from outside.
+                self.cluster.obs.metrics.counter("live.messages.unknown").increment()
 
     # ------------------------------------------------------------------ #
     # helpers
@@ -151,6 +155,20 @@ class LiveNode:
         seq = self._trace_seq.get(ctx.trace_id, 0)
         self._trace_seq[ctx.trace_id] = seq + 1
         return ctx.child(self.node_id, seq, *qualifiers)
+
+    def _point_span(self, parent: Optional[str], name: str,
+                    **attributes: object) -> Optional[str]:
+        """Record a point span *name* (this node's id plus *attributes*)
+        under the *parent* header; returns the header the reply should
+        carry, so a fault on the reply shows under this span.  With
+        observation off or an untraced message nothing is recorded and
+        *parent* comes back untouched."""
+        obs = self.cluster.obs
+        if not obs.enabled or parent is None:
+            return parent
+        ctx = self._trace_child(parent, name)
+        obs.traces.record(ctx, name, node_id=f"{self.node_id:x}", **attributes)
+        return ctx.to_traceparent()
 
     async def _forward_route(self, payload: dict) -> None:
         """Advance a route message one hop (or deliver it here).
@@ -238,8 +256,6 @@ class LiveNode:
         if purpose == "join":
             await self._answer_join(payload)
             return
-        obs = self.cluster.obs
-        parent = payload.get("traceparent")
         result = Message(
             kind="route-result",
             sender=self.node_id,
@@ -248,16 +264,11 @@ class LiveNode:
                 "path": payload["trail"] + [self.node_id],
                 "key": payload["key"],
             },
-            traceparent=parent,
-        )
-        if obs.enabled and parent is not None:
-            ctx = self._trace_child(parent, "deliver")
-            obs.traces.record(
-                ctx, "deliver",
-                node_id=f"{self.node_id:x}",
+            traceparent=self._point_span(
+                payload.get("traceparent"), "deliver",
                 path_length=len(payload["trail"]) + 1,
-            )
-            result.traceparent = ctx.to_traceparent()
+            ),
+        )
         await self._send(payload["origin"], result)
 
     # ------------------------------------------------------------------ #
@@ -273,7 +284,7 @@ class LiveNode:
             obs.metrics.histogram("live.route.hops").add(
                 max(len(message.payload["path"]) - 1, 0)
             )
-        self.cluster._resolve_route(message.payload["request_id"], message.payload["path"])
+        self.cluster._resolve(message.payload["request_id"], message.payload["path"])
 
     async def _on_join_request(self, message: Message) -> None:
         """Contact-node side: start the join route towards X's id."""
@@ -533,7 +544,8 @@ class LiveCluster:
             if getattr(self.obs, "timeseries", None) is None:
                 self.obs.timeseries = TimeSeriesRecorder()
         self.nodes: Dict[int, LiveNode] = {}
-        self._route_futures: Dict[int, asyncio.Future] = {}
+        # request_id -> the reply future of one in-flight client request.
+        self._reply_futures: Dict[int, asyncio.Future] = {}
         self._request_ids = itertools.count(1)
 
     # ------------------------------------------------------------------ #
@@ -548,12 +560,15 @@ class LiveCluster:
                 node_id = self.space.random_id(rng)
         self.topology.add_endpoint(node_id)
         self.transport.register(node_id)
-        node = LiveNode(self, node_id)
+        node = self._make_node(node_id)
         self.nodes[node_id] = node
         if self.obs.enabled:
             self.obs.metrics.gauge("live.nodes").increment()
         node.start()
         return node
+
+    def _make_node(self, node_id: int) -> LiveNode:
+        return LiveNode(self, node_id)
 
     def _nearest_contact(self, newcomer: LiveNode, joined: List[int]) -> int:
         return min(
@@ -666,39 +681,58 @@ class LiveCluster:
         """Ground truth for verification (never used by the protocol)."""
         return self.space.closest(key, iter(self.live_ids()))
 
-    def _resolve_route(self, request_id: int, path: List[int]) -> None:
-        future = self._route_futures.pop(request_id, None)
+    def _resolve(self, request_id: int, result) -> None:
+        """Complete request *request_id* with the reply a node received."""
+        future = self._reply_futures.pop(request_id, None)
         if future is not None and not future.done():
-            future.set_result(path)
-
-    def _emit_retry(self, op: str, attempt: int, delay: float,
-                    request_id: int) -> None:
-        if self.obs.enabled:
-            self.obs.metrics.counter("live.retries", op=op).increment()
-            self.obs.emit(RetryAttempted(
-                op=op, attempt=attempt, delay=delay, request_id=request_id
-            ))
+            future.set_result(result)
 
     async def route(self, key: int, origin: int,
                     timeout: float = ROUTE_TIMEOUT) -> List[int]:
         """Route *key* from *origin*; returns the path (origin..root).
 
-        Runs under the cluster's retry policy: each attempt gets an equal
-        share of *timeout*; a lost message triggers exponential backoff
-        and a re-send that routes via randomized alternates (claim C7).
-        Exhausting every attempt raises :class:`DegradedError` -- the
-        caller degrades instead of hanging on one lost reply -- carrying
-        the full attempt history (span ids, backoff delays, reroute
-        seeds) and the trace id of the operation's span tree.
+        One request under :meth:`_attempts`, traced as ``live.route``
+        (the root span also carries the delivered ``path_length``).
+        """
+        return await self._attempts(
+            "route", origin,
+            {"key": key, "origin": origin, "purpose": "lookup"},
+            timeout, f"key {key:x} from {origin:x}: no reply",
+            lambda path: {"path_length": len(path)},
+        )
 
-        Each client route is one trace: a ``live.route`` root span, one
-        "attempt" child per (re)send whose context travels inside the
-        route payload, and under each attempt the hop chain the message
-        actually took.
+    async def _attempts(self, op: str, origin: int, base_payload: dict,
+                        timeout: float, failure: str,
+                        result_attributes: Optional[Callable] = None):
+        """Drive one client request to its reply under the retry policy.
+
+        Every client operation is the same act: one route message handed
+        to *origin*, re-sent through randomized alternates when no reply
+        comes (claim C7).  The caller supplies what differs: *op* (the
+        retry/trace/error label), *base_payload* (key, purpose, reply-to
+        address, operation fields), the *failure* text and, optionally,
+        *result_attributes* (reply -> extra root-span attributes).
+
+        The driver owns the rest.  One ``request_id`` spans all attempts,
+        so a root recognises a retry (resumes a pending fan-out, replays
+        a completed result) instead of running the operation twice; one
+        reply future outlives each attempt (hence the ``shield``): the
+        reply to an earlier attempt completes the request just as well.
+        Each attempt gets a fresh payload (empty trail; after the first,
+        a ``randomized_seed`` fixed per (request, attempt)), an
+        :class:`AttemptLog` record and an equal share of *timeout*, with
+        jittered exponential backoff between attempts.  The trace is a
+        ``live.<op>`` root span plus one "attempt" child per (re)send
+        whose context travels inside the payload, so the assembled tree
+        shows the hops, fan-out and serves the messages actually took.
+        Exhaustion raises :class:`DegradedError` with the attempt history
+        and trace id -- the caller degrades instead of hanging on one
+        lost message; either way the future is reaped, so a late reply
+        finds nothing to trip over.
         """
         request_id = next(self._request_ids)
         future: asyncio.Future = asyncio.get_running_loop().create_future()
-        self._route_futures[request_id] = future
+        self._reply_futures[request_id] = future
         policy = self.retry
         attempt_timeout = timeout / policy.attempts
         obs = self.obs
@@ -706,6 +740,7 @@ class LiveCluster:
         root_ctx: Optional[TraceContext] = None
         attempt_log = AttemptLog()
         root_start = 0.0
+        root_attributes = {"key": f"{base_payload['key']:x}", "origin": f"{origin:x}"}
         if tracing:
             root_ctx = TraceContext.root(self._trace_rng)
             attempt_log.trace_id = root_ctx.trace_id
@@ -713,13 +748,7 @@ class LiveCluster:
         delay = 0.0
         try:
             for attempt in range(policy.attempts):
-                payload = {
-                    "key": key,
-                    "origin": origin,
-                    "request_id": request_id,
-                    "trail": [],
-                    "purpose": "lookup",
-                }
+                payload = dict(base_payload, request_id=request_id, trail=[])
                 reroute_seed = None
                 if attempt > 0:
                     reroute_seed = stable_seed(
@@ -744,51 +773,47 @@ class LiveCluster:
                                     traceparent=payload.get("traceparent"))
                 )
                 try:
-                    path = await asyncio.wait_for(
+                    result = await asyncio.wait_for(
                         asyncio.shield(future), attempt_timeout
                     )
-                    if tracing:
-                        obs.traces.record(
-                            attempt_ctx, "attempt",
-                            start=attempt_start, end=obs.traces.tick(),
-                            attempt=attempt + 1, outcome="delivered",
-                            randomized=reroute_seed is not None,
-                        )
-                        obs.traces.record(
-                            root_ctx, "live.route",
-                            start=root_start, end=obs.traces.tick(),
-                            key=f"{key:x}", origin=f"{origin:x}",
-                            attempts=attempt + 1, path_length=len(path),
-                            outcome="ok",
-                        )
-                    return path
+                    delivered = True
                 except asyncio.TimeoutError:
-                    if tracing:
-                        obs.traces.record(
-                            attempt_ctx, "attempt",
-                            start=attempt_start, end=obs.traces.tick(),
-                            attempt=attempt + 1, outcome="timeout",
-                            randomized=reroute_seed is not None,
-                        )
-                    if attempt + 1 >= policy.attempts:
-                        break
+                    delivered = False
+                if tracing:
+                    obs.traces.record(
+                        attempt_ctx, "attempt",
+                        start=attempt_start, end=obs.traces.tick(),
+                        attempt=attempt + 1,
+                        outcome="delivered" if delivered else "timeout",
+                        randomized=reroute_seed is not None,
+                    )
+                if delivered:
+                    break
+                if attempt + 1 < policy.attempts:
                     delay = policy.backoff(attempt + 1, self._backoff_rng)
-                    self._emit_retry("route", attempt + 1, delay, request_id)
+                    if tracing:
+                        obs.metrics.counter("live.retries", op=op).increment()
+                        obs.emit(RetryAttempted(op=op, attempt=attempt + 1,
+                                                delay=delay, request_id=request_id))
                     await asyncio.sleep(delay)
             if tracing:
+                if delivered and result_attributes is not None:
+                    root_attributes.update(result_attributes(result))
                 obs.traces.record(
-                    root_ctx, "live.route",
+                    root_ctx, f"live.{op}",
                     start=root_start, end=obs.traces.tick(),
-                    key=f"{key:x}", origin=f"{origin:x}",
-                    attempts=policy.attempts, outcome="degraded",
+                    attempts=attempt + 1,
+                    outcome="ok" if delivered else "degraded",
+                    **root_attributes,
                 )
+            if delivered:
+                return result
             raise DegradedError(
-                "route", policy.attempts,
-                f"key {key:x} from {origin:x}: no reply",
+                op, policy.attempts, failure,
                 history=attempt_log.as_tuple(),
                 trace_id=attempt_log.trace_id,
             )
         finally:
-            pending = self._route_futures.pop(request_id, None)
+            pending = self._reply_futures.pop(request_id, None)
             if pending is not None and not pending.done():
                 pending.cancel()

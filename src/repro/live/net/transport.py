@@ -7,12 +7,13 @@ propagation and ``CostLedger`` charging run unmodified; but every
 message is genuinely encoded, framed, written to a localhost socket,
 read back in arbitrary chunks, and decoded on the destination's side.
 
-Ordering is engineered to match the in-process baseline exactly where
-determinism depends on it: the :class:`FaultPlan` rng is consulted at
-the same point in ``send()`` (after the dead/unknown checks, before any
-enqueue), so a seeded plan draws the identical fault sequence over both
-transports when the caller's send order is the same -- the property the
-conformance suite (tests/test_live_socket.py) pins.
+Ordering matches the in-process baseline where determinism depends on
+it: both ``send()`` methods run the one ``TransportBase._admit`` front
+half, so the :class:`FaultPlan` rng is consulted at the same point
+(after the dead/unknown checks, before any enqueue) and a seeded plan
+draws the identical fault sequence over both transports when the
+caller's send order is the same -- the property the conformance suite
+(tests/test_live_socket.py) pins.
 
 Differences from the baseline, all deliberate:
 
@@ -41,9 +42,7 @@ from repro.live.net.pool import DEFAULT_SEND_QUEUE, NodePool
 from repro.live.transport import (
     RESULT_DEAD,
     RESULT_DELIVERED,
-    RESULT_DROPPED,
     RESULT_TIMEOUT,
-    RESULT_UNKNOWN,
     Message,
     SendResult,
     TransportBase,
@@ -147,37 +146,14 @@ class SocketTransport(TransportBase):
     async def send(self, destination: int, message: Message) -> SendResult:
         message.message_id = next(self._sequence)
         frame = encode_frame(encode_message(message), self._max_frame)
-        if self.ledger is not None:
-            # Real-byte pricing: the actual frame length, not the model.
-            self.ledger.charge(message.kind, node=message.sender,
-                               size=len(frame))
-        if destination in self._dead:
-            self.messages_dropped += 1
-            return RESULT_DEAD
-        if destination not in self._mailboxes:
-            self.messages_dropped += 1
-            return RESULT_UNKNOWN
-        fault = None
-        if self.faults is not None:
-            fault = self.faults.message_fault(message.sender, destination)
-            if fault is not None and fault.drop:
-                self.faults_dropped += 1
-                self._trace_fault(message, destination, "drop")
-                return RESULT_DROPPED
-            if fault is not None:
-                if fault.duplicate:
-                    self._trace_fault(message, destination, "duplicate")
-                if fault.delay > 0:
-                    self._trace_fault(message, destination, "delay",
-                                      amount=fault.delay)
-                if fault.defer > 0:
-                    self._trace_fault(message, destination, "reorder",
-                                      amount=fault.defer)
+        # Real-byte pricing: the actual frame length, not the model.
+        refusal, fault = self._admit(destination, message, len(frame))
+        if refusal is not None:
+            return refusal
         if fault is not None and fault.delay > 0:
             self.faults_delayed += 1
-            await asyncio.sleep(fault.delay * self._fault_delay_scale)
-            if destination in self._dead:
-                self.messages_dropped += 1
+            if not await self._in_flight_delay(
+                    destination, fault.delay * self._fault_delay_scale):
                 return RESULT_DEAD
         link = self._pool.link_to(destination, self._discard)
         if fault is not None and fault.defer > 0:
@@ -197,10 +173,7 @@ class SocketTransport(TransportBase):
         self.bytes_sent += len(frame)
         if fault is not None and fault.duplicate:
             self.faults_duplicated += 1
-            if self.ledger is not None:
-                # The duplicate is a second full frame on the wire.
-                self.ledger.charge(message.kind, node=message.sender,
-                                   size=len(frame))
+            self._charge(message, len(frame))  # a second full frame
             if await self._enqueue(link, frame):
                 self.bytes_sent += len(frame)
         return RESULT_DELIVERED

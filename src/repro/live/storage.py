@@ -18,18 +18,14 @@ and are orthogonal to message concurrency.
 from __future__ import annotations
 
 import asyncio
-import itertools
 from typing import Dict, Optional
 
 from repro.core.certificates import FileCertificate
-from repro.core.errors import DegradedError
 from repro.core.files import FileData
 from repro.core.storage import FileStore
-from repro.faults.policy import AttemptLog
 from repro.live.cluster import ROUTE_TIMEOUT, LiveCluster, LiveNode
 from repro.live.transport import Message
 from repro.obs.trace_context import TraceContext
-from repro.sim.rng import stable_seed
 
 # Root-side pending inserts expire after this long: if the client has
 # stopped retrying (its own timeout is ROUTE_TIMEOUT) the entry is
@@ -61,29 +57,7 @@ class LiveStorageNode(LiveNode):
         if payload.get("purpose") == "past-lookup":
             replica = self.store.get(payload["file_id"])
             if replica is not None and replica.data is not None:
-                obs = self.cluster.obs
-                parent = payload.get("traceparent")
-                result = Message(
-                    kind="lookup-result",
-                    sender=self.node_id,
-                    payload={
-                        "request_id": payload["request_id"],
-                        "certificate": replica.certificate,
-                        "data": replica.data,
-                        "serving_node": self.node_id,
-                    },
-                    traceparent=parent,
-                )
-                if obs.enabled and parent is not None:
-                    ctx = self._trace_child(parent, "serve")
-                    obs.traces.record(
-                        ctx, "serve",
-                        node_id=f"{self.node_id:x}",
-                        found=True, en_route=True,
-                        hop_index=len(payload["trail"]),
-                    )
-                    result.traceparent = ctx.to_traceparent()
-                await self._send(payload["client"], result)
+                await self._serve(payload, replica)
                 return
         await super()._forward_route(payload)
 
@@ -91,29 +65,32 @@ class LiveStorageNode(LiveNode):
         purpose = payload.get("purpose")
         if purpose == "past-insert":
             await self._insert_as_root(payload)
-            return
-        if purpose == "past-lookup":
+        elif purpose == "past-lookup":
             # Reached the root without finding the file anywhere en route.
-            obs = self.cluster.obs
-            parent = payload.get("traceparent")
-            result = Message(
-                kind="lookup-result",
-                sender=self.node_id,
-                payload={"request_id": payload["request_id"],
-                         "certificate": None, "data": None,
-                         "serving_node": self.node_id},
-                traceparent=parent,
-            )
-            if obs.enabled and parent is not None:
-                ctx = self._trace_child(parent, "serve")
-                obs.traces.record(
-                    ctx, "serve",
-                    node_id=f"{self.node_id:x}", found=False, en_route=False,
-                )
-                result.traceparent = ctx.to_traceparent()
-            await self._send(payload["client"], result)
-            return
-        await super()._deliver_route(payload)
+            await self._serve(payload, None)
+        else:
+            await super()._deliver_route(payload)
+
+    async def _serve(self, payload: dict, replica) -> None:
+        """Answer a lookup from this node: with the *replica* a node on
+        the route holds, or (``None``, at the root) with not-found."""
+        found = replica is not None
+        attributes = {"hop_index": len(payload["trail"])} if found else {}
+        result = Message(
+            kind="lookup-result",
+            sender=self.node_id,
+            payload={
+                "request_id": payload["request_id"],
+                "certificate": replica.certificate if found else None,
+                "data": replica.data if found else None,
+                "serving_node": self.node_id,
+            },
+            traceparent=self._point_span(
+                payload.get("traceparent"), "serve",
+                found=found, en_route=found, **attributes,
+            ),
+        )
+        await self._send(payload["client"], result)
 
     # ------------------------------------------------------------------ #
     # insert: root-side fan-out with async ack collection
@@ -128,16 +105,13 @@ class LiveStorageNode(LiveNode):
         if completed is not None:
             # Client retry after we finished: the original result was
             # lost; replay it instead of re-running the insert.
-            result = Message(kind="insert-result", sender=self.node_id,
-                             payload=completed, traceparent=parent)
-            if tracing:
-                ctx = self._trace_child(parent, "replay-result")
-                obs.traces.record(
-                    ctx, "replay-result",
-                    node_id=f"{self.node_id:x}",
+            result = Message(
+                kind="insert-result", sender=self.node_id, payload=completed,
+                traceparent=self._point_span(
+                    parent, "replay-result",
                     success=bool(completed.get("success")),
-                )
-                result.traceparent = ctx.to_traceparent()
+                ),
+            )
             await self._send(payload["client"], result)
             return
         pending = self._pending_inserts.get(request_id)
@@ -152,28 +126,27 @@ class LiveStorageNode(LiveNode):
             ctx = self._trace_child(parent, "insert-root")
             start = obs.traces.tick()
         certificate: FileCertificate = payload["certificate"]
+        k = certificate.replication_factor
+        refusal = None
         if certificate.file_id in self.store:
             # Files are immutable and a fileId cannot be inserted twice;
             # the root holds every file it placed, so it is the natural
             # place to refuse duplicates (retries of *this* insert never
             # reach here -- they hit the pending/completed paths above).
+            refusal = "duplicate"
+        else:
+            try:
+                replica_ids = self.state.leaf_set.replica_candidates(
+                    certificate.storage_key(), k
+                )
+            except ValueError:
+                refusal = "bad-k"
+        if refusal is not None:
             if tracing:
                 obs.traces.record(ctx, "insert-root", start=start,
-                                  node_id=f"{self.node_id:x}",
-                                  outcome="duplicate")
+                                  node_id=f"{self.node_id:x}", outcome=refusal)
                 payload["traceparent"] = ctx.to_traceparent()
-            await self._insert_failed(payload, "duplicate")
-            return
-        k = certificate.replication_factor
-        key = certificate.storage_key()
-        try:
-            replica_ids = self.state.leaf_set.replica_candidates(key, k)
-        except ValueError:
-            if tracing:
-                obs.traces.record(ctx, "insert-root", start=start,
-                                  node_id=f"{self.node_id:x}", outcome="bad-k")
-                payload["traceparent"] = ctx.to_traceparent()
-            await self._insert_failed(payload, "bad-k")
+            await self._insert_failed(payload, refusal)
             return
         pending = {
             "needed": set(replica_ids),
@@ -196,24 +169,12 @@ class LiveStorageNode(LiveNode):
                 stored = self._store_locally(certificate, payload["data"])
                 if stored:
                     pending["stored"].add(self.node_id)
-                if tracing:
-                    obs.traces.record(
-                        self._trace_child(pending["traceparent"], "store"),
-                        "store", node_id=f"{self.node_id:x}",
-                        ok=stored, local=True,
-                    )
-                continue
-            message = Message(
-                kind="store-request",
-                sender=self.node_id,
-                payload={
-                    "request_id": request_id,
-                    "certificate": certificate,
-                    "data": payload["data"],
-                },
-                traceparent=pending["traceparent"],
-            )
-            await self._send(replica_id, message)
+                self._point_span(pending["traceparent"], "store",
+                                 ok=stored, local=True)
+            else:
+                await self._send_store_request(
+                    replica_id, pending, pending["traceparent"]
+                )
         if tracing:
             obs.traces.record(
                 ctx, "insert-root", start=start, end=obs.traces.tick(),
@@ -223,38 +184,33 @@ class LiveStorageNode(LiveNode):
             )
         await self._maybe_finish_insert(request_id)
 
+    async def _send_store_request(self, replica_id: int, pending: dict,
+                                  header: Optional[str]) -> None:
+        await self._send(
+            replica_id,
+            Message(
+                kind="store-request",
+                sender=self.node_id,
+                payload={
+                    "request_id": pending["request_id"],
+                    "certificate": pending["certificate"],
+                    "data": pending["data"],
+                },
+                traceparent=header,
+            ),
+        )
+
     async def _repoke_pending(self, pending: dict,
                               parent: Optional[str] = None) -> None:
         """Re-send store requests to the replicas still missing an ack
         (their request or their ack was lost).  *parent* is the retry
         attempt's trace context: the repoke span lands under the attempt
         that triggered it, not the original fan-out."""
-        obs = self.cluster.obs
-        header = None
         missing = sorted(pending["needed"] - pending["stored"])
-        if obs.enabled and parent is not None:
-            ctx = self._trace_child(parent, "repoke")
-            obs.traces.record(
-                ctx, "repoke",
-                node_id=f"{self.node_id:x}", missing=len(missing),
-            )
-            header = ctx.to_traceparent()
+        header = self._point_span(parent, "repoke", missing=len(missing))
         for replica_id in missing:
-            if replica_id == self.node_id:
-                continue
-            await self._send(
-                replica_id,
-                Message(
-                    kind="store-request",
-                    sender=self.node_id,
-                    payload={
-                        "request_id": pending["request_id"],
-                        "certificate": pending["certificate"],
-                        "data": pending["data"],
-                    },
-                    traceparent=header,
-                ),
-            )
+            if replica_id != self.node_id:
+                await self._send_store_request(replica_id, pending, header)
 
     def _expire_pending_insert(self, request_id: int) -> None:
         """Drop a fan-out whose client stopped retrying; without this a
@@ -290,17 +246,12 @@ class LiveStorageNode(LiveNode):
             kind="store-ack",
             sender=self.node_id,
             payload={"request_id": message.payload["request_id"], "ok": ok},
-            traceparent=message.traceparent,
+            # A dropped ack shows as a wire fault under this store span
+            # -- the exact link the repoke path exists to repair.
+            traceparent=self._point_span(
+                message.traceparent, "store", ok=ok, local=False
+            ),
         )
-        obs = self.cluster.obs
-        if obs.enabled and message.traceparent is not None:
-            ctx = self._trace_child(message.traceparent, "store")
-            obs.traces.record(
-                ctx, "store", node_id=f"{self.node_id:x}", ok=ok, local=False,
-            )
-            # A dropped ack now shows as a wire fault under this store
-            # span -- the exact link the repoke path exists to repair.
-            ack.traceparent = ctx.to_traceparent()
         await self._send(message.sender, ack)
 
     async def _on_store_ack(self, message: Message) -> None:
@@ -364,10 +315,10 @@ class LiveStorageNode(LiveNode):
         )
 
     async def _on_insert_result(self, message: Message) -> None:
-        self.cluster._resolve_request(message.payload["request_id"], message.payload)
+        self.cluster._resolve(message.payload["request_id"], message.payload)
 
     async def _on_lookup_result(self, message: Message) -> None:
-        self.cluster._resolve_request(message.payload["request_id"], message.payload)
+        self.cluster._resolve(message.payload["request_id"], message.payload)
 
 
 class LiveStorageCluster(LiveCluster):
@@ -376,139 +327,19 @@ class LiveStorageCluster(LiveCluster):
     def __init__(self, seed: int = 0, node_capacity: int = 1 << 24, **kwargs) -> None:
         super().__init__(seed, **kwargs)
         self.node_capacity = node_capacity
-        self._request_futures: Dict[int, asyncio.Future] = {}
-        self._op_ids = itertools.count(10_000)
 
-    def _create_node(self, node_id: Optional[int] = None) -> LiveNode:
-        rng = self.rngs.stream("node-ids")
-        if node_id is None:
-            node_id = self.space.random_id(rng)
-            while node_id in self.nodes:
-                node_id = self.space.random_id(rng)
-        self.topology.add_endpoint(node_id)
-        self.transport.register(node_id)
-        node = LiveStorageNode(self, node_id, self.node_capacity)
-        self.nodes[node_id] = node
-        node.start()
-        return node
-
-    def _resolve_request(self, request_id: int, payload: dict) -> None:
-        future = self._request_futures.pop(request_id, None)
-        if future is not None and not future.done():
-            future.set_result(payload)
+    def _make_node(self, node_id: int) -> LiveNode:
+        return LiveStorageNode(self, node_id, self.node_capacity)
 
     async def _request(self, origin: int, payload: dict,
                        timeout: float = ROUTE_TIMEOUT) -> dict:
-        """Issue a storage request under the retry policy.
-
-        The request keeps one request_id across attempts so the root can
-        recognise retries (resume a pending fan-out, replay a completed
-        result) instead of double-inserting.  The old one-shot
-        ``wait_for(future, timeout)`` stranded the future and the root's
-        fan-out state whenever a single reply was lost; now each attempt
-        gets a share of *timeout*, retries reroute via randomized
-        alternates, and exhaustion raises :class:`DegradedError` with the
-        pending entry cleaned up.
-
-        Each storage operation is one trace (a ``live.past-insert`` /
-        ``live.past-lookup`` root span); attempt contexts travel inside
-        the payload exactly as in :meth:`LiveCluster.route`, so the
-        assembled tree shows routing hops, the root's replica fan-out,
-        en-route serves, and every retry.
-        """
-        request_id = next(self._op_ids)
-        op = payload.get("purpose", "request")
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
-        self._request_futures[request_id] = future
-        policy = self.retry
-        attempt_timeout = timeout / policy.attempts
-        obs = self.obs
-        tracing = obs.enabled
-        root_ctx: Optional[TraceContext] = None
-        attempt_log = AttemptLog()
-        root_start = 0.0
-        if tracing:
-            root_ctx = TraceContext.root(self._trace_rng)
-            attempt_log.trace_id = root_ctx.trace_id
-            root_start = obs.traces.tick()
-        delay = 0.0
-        try:
-            for attempt in range(policy.attempts):
-                attempt_payload = dict(payload)
-                attempt_payload["request_id"] = request_id
-                attempt_payload["client"] = origin
-                attempt_payload["trail"] = []
-                reroute_seed = None
-                if attempt > 0:
-                    reroute_seed = stable_seed(
-                        self.rngs.master_seed, request_id, attempt
-                    )
-                    attempt_payload["randomized_seed"] = reroute_seed
-                attempt_ctx: Optional[TraceContext] = None
-                attempt_start = 0.0
-                if tracing:
-                    attempt_ctx = root_ctx.child("attempt", attempt)
-                    attempt_start = obs.traces.tick()
-                    attempt_payload["traceparent"] = attempt_ctx.to_traceparent()
-                attempt_log.add(
-                    attempt=attempt + 1,
-                    span_id=attempt_ctx.span_id if attempt_ctx else "",
-                    delay=delay,
-                    randomized=reroute_seed is not None,
-                    reroute_seed=reroute_seed,
-                )
-                await self.transport.send(
-                    origin,
-                    Message(kind="route", sender=origin, payload=attempt_payload,
-                            traceparent=attempt_payload.get("traceparent")),
-                )
-                try:
-                    result = await asyncio.wait_for(
-                        asyncio.shield(future), attempt_timeout
-                    )
-                    if tracing:
-                        obs.traces.record(
-                            attempt_ctx, "attempt",
-                            start=attempt_start, end=obs.traces.tick(),
-                            attempt=attempt + 1, outcome="delivered",
-                            randomized=reroute_seed is not None,
-                        )
-                        obs.traces.record(
-                            root_ctx, f"live.{op}",
-                            start=root_start, end=obs.traces.tick(),
-                            key=f"{payload['key']:x}", origin=f"{origin:x}",
-                            attempts=attempt + 1, outcome="ok",
-                        )
-                    return result
-                except asyncio.TimeoutError:
-                    if tracing:
-                        obs.traces.record(
-                            attempt_ctx, "attempt",
-                            start=attempt_start, end=obs.traces.tick(),
-                            attempt=attempt + 1, outcome="timeout",
-                            randomized=reroute_seed is not None,
-                        )
-                    if attempt + 1 >= policy.attempts:
-                        break
-                    delay = policy.backoff(attempt + 1, self._backoff_rng)
-                    self._emit_retry(op, attempt + 1, delay, request_id)
-                    await asyncio.sleep(delay)
-            if tracing:
-                obs.traces.record(
-                    root_ctx, f"live.{op}",
-                    start=root_start, end=obs.traces.tick(),
-                    key=f"{payload['key']:x}", origin=f"{origin:x}",
-                    attempts=policy.attempts, outcome="degraded",
-                )
-            raise DegradedError(
-                op, policy.attempts, "no reply",
-                history=attempt_log.as_tuple(),
-                trace_id=attempt_log.trace_id,
-            )
-        finally:
-            pending = self._request_futures.pop(request_id, None)
-            if pending is not None and not pending.done():
-                pending.cancel()
+        """Issue a storage request: one :meth:`LiveCluster._attempts`
+        request named after its purpose, whose replies come back to
+        *origin* as the ``client``."""
+        return await self._attempts(
+            payload["purpose"], origin, dict(payload, client=origin),
+            timeout, "no reply",
+        )
 
     async def insert(self, certificate: FileCertificate, data: FileData,
                      origin: int) -> dict:

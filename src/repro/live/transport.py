@@ -46,11 +46,14 @@ from __future__ import annotations
 import asyncio
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Set
+from typing import TYPE_CHECKING, Dict, Optional, Set, Tuple
 
 from repro.netsim.latency import LatencyModel
 from repro.obs.cost_model import ID_BYTES, WIRE_HEADER_BYTES
 from repro.obs.trace_context import TraceCollector, TraceContext
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.faults.plan import MessageFault
 
 # SendResult.status values.  DELIVERED/DROPPED are "accepted" (truthy);
 # DEAD/UNKNOWN mean the sender just discovered the peer is unreachable;
@@ -128,10 +131,12 @@ class Message:
 class TransportBase:
     """Shared liveness/fault/observability plumbing for live transports.
 
-    Subclasses implement :meth:`send`; everything else -- registration
-    bookkeeping, the dead set, fault tracing, counters, the mailbox
-    receive side -- is common.  Both shipped transports deliver into
-    per-address ``asyncio.Queue`` mailboxes, so ``receive`` lives here.
+    Subclasses implement :meth:`send` as sizing, the shared front half
+    (:meth:`_admit`) and their own hand-off; everything else --
+    registration bookkeeping, the dead set, fault tracing, counters, the
+    mailbox receive side -- is common.  Both shipped transports deliver
+    into per-address ``asyncio.Queue`` mailboxes, so ``receive`` lives
+    here.
     """
 
     def __init__(self, faults=None) -> None:
@@ -196,6 +201,18 @@ class TransportBase:
             return await asyncio.wait_for(queue.get(), timeout)
         except asyncio.TimeoutError:
             return None
+
+    def close_mailbox(self, address: int) -> None:
+        """Wake *address*'s receive loop with the ``None`` sentinel.
+
+        Shutdown is local-only: the sentinel is not a :class:`Message`,
+        so no frame a peer can write ever stops a node.  A full bounded
+        mailbox keeps its backlog; the caller's cancel path covers it.
+        """
+        try:
+            self._mailboxes[address].put_nowait(None)
+        except asyncio.QueueFull:
+            pass
 
     def idle(self) -> bool:
         """No undelivered traffic anywhere the transport can see.
@@ -263,6 +280,63 @@ class TransportBase:
         return stats
 
     # ------------------------------------------------------------------ #
+    # the send front-half (shared by every transport's ``send``)
+    # ------------------------------------------------------------------ #
+
+    def _charge(self, message: Message, size: int) -> None:
+        """Charge one wire copy of *message* to its sender.  The sender
+        spends the bytes whether or not the destination answers (a
+        refused or dropped message still crossed the wire)."""
+        if self.ledger is not None:
+            self.ledger.charge(message.kind, node=message.sender, size=size)
+
+    def _admit(self, destination: int, message: Message,
+               size: int) -> Tuple[Optional[SendResult], Optional[MessageFault]]:
+        """Everything ``send`` does before it touches a queue.
+
+        Charges the ledger *size* bytes, refuses dead and unknown
+        destinations, then draws the message's fate -- the one point
+        where the :class:`FaultPlan` rng is consulted, after the refusals
+        and before any enqueue, so a seeded plan draws the identical
+        fault sequence over every transport by construction.  Returns
+        ``(refusal, fault)``: a non-None *refusal* is ``send``'s result
+        (dead, unknown, or an injected drop); otherwise *fault* is the
+        duplicate/delay/defer the hand-off must honour, or None.
+        """
+        self._charge(message, size)
+        if destination in self._dead:
+            self.messages_dropped += 1
+            return RESULT_DEAD, None
+        if destination not in self._mailboxes:
+            self.messages_dropped += 1
+            return RESULT_UNKNOWN, None
+        if self.faults is None:
+            return None, None
+        fault = self.faults.message_fault(message.sender, destination)
+        if fault is None:
+            return None, None
+        if fault.drop:
+            self.faults_dropped += 1
+            self._trace_fault(message, destination, "drop")
+            return RESULT_DROPPED, None
+        if fault.duplicate:
+            self._trace_fault(message, destination, "duplicate")
+        if fault.delay > 0:
+            self._trace_fault(message, destination, "delay", amount=fault.delay)
+        if fault.defer > 0:
+            self._trace_fault(message, destination, "reorder", amount=fault.defer)
+        return None, fault
+
+    async def _in_flight_delay(self, destination: int, seconds: float) -> bool:
+        """Sleep *seconds*, then re-check the dead set: the destination
+        may have died mid-flight.  True when the send may go on."""
+        await asyncio.sleep(seconds)
+        if destination in self._dead:
+            self.messages_dropped += 1
+            return False
+        return True
+
+    # ------------------------------------------------------------------ #
     # fault tracing
     # ------------------------------------------------------------------ #
 
@@ -322,49 +396,19 @@ class InProcessTransport(TransportBase):
         """
         message.message_id = next(self._sequence)
         ledger = self.ledger
-        if ledger is not None:
-            # The sender spends the bytes whether or not the destination
-            # answers (a refused/dropped message still crossed the wire).
-            ledger.charge(
-                message.kind,
-                node=message.sender,
-                size=message.wire_bytes(ledger.model),
-            )
-        if destination in self._dead:
-            self.messages_dropped += 1
-            return RESULT_DEAD
-        if destination not in self._mailboxes:
-            self.messages_dropped += 1
-            return RESULT_UNKNOWN
-        fault = None
-        if self.faults is not None:
-            fault = self.faults.message_fault(message.sender, destination)
-            if fault is not None and fault.drop:
-                self.faults_dropped += 1
-                self._trace_fault(message, destination, "drop")
-                return RESULT_DROPPED
-            if fault is not None:
-                if fault.duplicate:
-                    self._trace_fault(message, destination, "duplicate")
-                if fault.delay > 0:
-                    self._trace_fault(message, destination, "delay",
-                                      amount=fault.delay)
-                if fault.defer > 0:
-                    self._trace_fault(message, destination, "reorder",
-                                      amount=fault.defer)
+        size = message.wire_bytes(ledger.model) if ledger is not None else 0
+        refusal, fault = self._admit(destination, message, size)
+        if refusal is not None:
+            return refusal
         if self._latency is not None:
             delay = self._latency.delay(message.sender, destination)
-            if delay > 0:
-                await asyncio.sleep(delay * self._latency_scale)
-            # Re-check: the destination may have died mid-flight.
-            if destination in self._dead:
-                self.messages_dropped += 1
+            if delay > 0 and not await self._in_flight_delay(
+                    destination, delay * self._latency_scale):
                 return RESULT_DEAD
         if fault is not None and fault.delay > 0:
             self.faults_delayed += 1
-            await asyncio.sleep(fault.delay * self._latency_scale)
-            if destination in self._dead:
-                self.messages_dropped += 1
+            if not await self._in_flight_delay(
+                    destination, fault.delay * self._latency_scale):
                 return RESULT_DEAD
         self.messages_sent += 1
         queue = self._mailboxes[destination]
@@ -379,12 +423,6 @@ class InProcessTransport(TransportBase):
             queue.put_nowait(message)
         if fault is not None and fault.duplicate:
             self.faults_duplicated += 1
-            if ledger is not None:
-                # The duplicate is a second copy on the wire.
-                ledger.charge(
-                    message.kind,
-                    node=message.sender,
-                    size=message.wire_bytes(ledger.model),
-                )
+            self._charge(message, size)  # a second copy on the wire
             queue.put_nowait(message)
         return RESULT_DELIVERED

@@ -99,7 +99,6 @@ MESSAGE_COSTS: Dict[str, Tuple[str, int]] = {
     "store-ack": (CATEGORY_CLIENT_DATA, WIRE_HEADER_BYTES + 8),
     "insert-result": (CATEGORY_CLIENT_DATA, _KEY_BYTES + 2 * ID_BYTES),
     "lookup-result": (CATEGORY_CLIENT_DATA, _DATA_BYTES),  # carries the file
-    "stop": (CATEGORY_CONTROL, WIRE_HEADER_BYTES),
     # --- telemetry plane (obs/telemetry.py + live/cluster.py) ---------- #
     # Requests carry a request id (one key); replies carry structured
     # payloads whose budgeted sizes are deliberate caps, not averages: a

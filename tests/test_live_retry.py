@@ -180,6 +180,7 @@ class TestExhaustion:
             origin = rng.choice(cluster.live_ids())
             with pytest.raises(DegradedError) as route_error:
                 await cluster.route(key, origin, timeout=0.3)
+            route_leaks = len(cluster._reply_futures)
             [(certificate, data)] = make_certs(1)
             with pytest.raises(DegradedError) as insert_error:
                 await cluster._request(
@@ -190,9 +191,9 @@ class TestExhaustion:
                     timeout=0.3,
                 )
             # The futures were reaped on the way out -- nothing to leak,
-            # nothing for a late reply to trip over.
-            route_leaks = len(cluster._route_futures)
-            request_leaks = len(cluster._request_futures)
+            # nothing for a late reply to trip over.  Routes and storage
+            # requests share the one table.
+            request_leaks = len(cluster._reply_futures)
             cluster.transport.faults = None
             await cluster.shutdown()
             return route_error.value, insert_error.value, route_leaks, request_leaks
@@ -202,6 +203,15 @@ class TestExhaustion:
         assert insert_error.operation == "past-insert"
         assert route_leaks == 0
         assert request_leaks == 0
+        # One driver, one attempt log: both histories carry the same fields.
+        for error in (route_error, insert_error):
+            assert [record.attempt for record in error.history] == [1, 2, 3]
+            assert [record.randomized for record in error.history] == [False, True, True]
+            assert [record.reroute_seed is None for record in error.history] == [
+                True, False, False]
+            assert all(record.span_id for record in error.history)
+            assert error.history[0].delay == 0.0 < error.history[1].delay
+            assert error.trace_id
 
     def test_degraded_error_is_typed_and_informative(self):
         error = DegradedError("past-insert", 4, "no reply")

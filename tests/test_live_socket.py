@@ -24,6 +24,7 @@ from repro.faults.plan import FaultPlan
 from repro.faults.policy import RetryPolicy
 from repro.live import Message
 from repro.live.net import SocketTransport
+from repro.live.net.framing import encode_frame
 from repro.live.storage import LiveStorageCluster
 
 pytestmark = pytest.mark.socket
@@ -317,6 +318,34 @@ class TestClusterLifecycleOverSockets:
             return mistakes
 
         assert run(scenario()) == 0
+
+    def test_foreign_stop_frame_does_not_stop_a_node(self):
+        """Shutdown is local-only: a well-formed ``stop`` message written
+        by a foreign TCP peer is just an unknown kind -- counted, not
+        obeyed -- and the node goes on serving routes."""
+
+        async def scenario():
+            transport = SocketTransport()
+            cluster = LiveStorageCluster(seed=31, transport=transport)
+            await cluster.start(4, join_concurrency=1)
+            victim = cluster.live_ids()[0]
+            host, port = await transport._pool.resolve(victim)
+            _, writer = await asyncio.open_connection(host, port)
+            writer.write(encode_frame(b'{"kind":"stop","sender":0,"payload":{}}'))
+            await writer.drain()
+            unknown = cluster.obs.metrics.counter("live.messages.unknown")
+            for _ in range(200):
+                if unknown.value:
+                    break
+                await asyncio.sleep(0.01)
+            writer.close()
+            still_running = not cluster.nodes[victim]._task.done()
+            key = cluster.space.random_id(random.Random(4))
+            path = await cluster.route(key, victim)
+            await cluster.shutdown()
+            return still_running, path[-1] == cluster.global_root(key), unknown.value
+
+        assert run(scenario()) == (True, True, 1)
 
     def test_concurrent_client_load(self):
         """Many interleaved inserts+lookups over real sockets resolve

@@ -14,6 +14,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.live.cluster import LiveCluster
+from repro.live.storage import LiveStorageCluster
 from repro.obs import (
     NULL_OBSERVER,
     CacheHit,
@@ -570,12 +572,15 @@ class TestStorageInstrumentation:
 # live cluster
 # ---------------------------------------------------------------------- #
 
+LIVE_CLUSTER_CLASSES = (LiveCluster, LiveStorageCluster)
+
+
 class TestLiveClusterMetrics:
     def test_prometheus_endpoint_text(self):
-        from repro.live.cluster import LiveCluster
-
-        async def scenario():
-            cluster = LiveCluster(seed=3)
+        # Both cluster classes inside the one test (not parametrized), so
+        # the test keeps the id earlier suites recorded it under.
+        async def scenario(cluster_class):
+            cluster = cluster_class(seed=3)
             await cluster.start(8)
             origin = cluster.live_ids()[0]
             await cluster.route(cluster.space.random_id(
@@ -584,10 +589,23 @@ class TestLiveClusterMetrics:
             await cluster.shutdown()
             return cluster, text
 
-        cluster, text = asyncio.run(scenario())
-        assert "live_nodes 8" in text
-        assert "live_joins_total 7" in text
-        assert "# TYPE live_messages_total counter" in text
-        assert "live_route_hops_count 1" in text
-        joins = [e for e in cluster.obs.bus.events() if isinstance(e, NodeJoined)]
-        assert len(joins) == 7
+        for cluster_class in LIVE_CLUSTER_CLASSES:
+            cluster, text = asyncio.run(scenario(cluster_class))
+            assert "live_nodes 8" in text, cluster_class.__name__
+            assert "live_joins_total 7" in text
+            assert "# TYPE live_messages_total counter" in text
+            assert "live_route_hops_count 1" in text
+            joins = [e for e in cluster.obs.bus.events() if isinstance(e, NodeJoined)]
+            assert len(joins) == 7
+
+    @pytest.mark.parametrize("cluster_class", LIVE_CLUSTER_CLASSES)
+    def test_live_nodes_gauge_follows_kills(self, cluster_class):
+        async def scenario():
+            cluster = cluster_class(seed=3)
+            await cluster.start(6)
+            cluster.kill(cluster.live_ids()[0])
+            text = cluster.metrics_text()
+            await cluster.shutdown()
+            return text
+
+        assert "live_nodes 5" in asyncio.run(scenario()).splitlines()
