@@ -33,7 +33,6 @@ ASYNC102  task handle with no cancellation path from aclose/stop
 ASYNC103  lock held across an await into a stored user callback
 ASYNC104  Event/future waiter with no setter on the close path
 CONF001   message kind constructed/charged but missing from MESSAGE_COSTS
-CONF002   codec wire tag registered for only one of encode/decode
 CONF003   event emitted or defined outside the EVENT_TYPES schema
 CONF004   claim id produced but not declared in obs/claims.py
 CONF005   docs/PROTOCOLS.md cost table out of sync with MESSAGE_COSTS

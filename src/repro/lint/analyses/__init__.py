@@ -8,9 +8,9 @@ Two rule families live here, both registered in the same
   reconstructs the two PR-8 pool races (retire-during-startup and the
   stranded-``ready``-waiter) as machine-checkable patterns;
 * :mod:`repro.lint.analyses.conformance` -- the protocol-conformance
-  checker (CONF001-CONF005), cross-checking message kinds, codec tags,
+  checker (CONF001, CONF003-CONF005), cross-checking message kinds,
   event schemas, claim ids and the ``docs/PROTOCOLS.md`` table against
-  the registries that price, encode, validate and declare them.
+  the registries that price, validate and declare them.
 
 Importing this package registers every analysis (the ``all_rules()``
 side-effect contract).

@@ -1,18 +1,20 @@
-"""The protocol-conformance checker (CONF001-CONF005).
+"""The protocol-conformance checker (CONF001, CONF003-CONF005).
 
-Four hand-maintained registries price, encode, validate and declare the
-protocol surface -- ``MESSAGE_COSTS`` in ``obs/cost_model.py``, the
-codec tag set in ``live/net/codec.py``, ``EVENT_TYPES`` in
-``obs/events.py``, ``_PROBES`` in ``obs/claims.py`` -- plus the human
-kind->category table in ``docs/PROTOCOLS.md``.  Each can silently drift
-from the code that uses it: an unpriced kind falls back to
-``control@64B`` without a signal, a one-sided codec tag fails only on
-the first real frame, a schemaless event ships unvalidated, an unknown
-claim id raises at report time, an undocumented kind misleads readers.
+Three hand-maintained registries price, validate and declare the
+protocol surface -- ``MESSAGE_COSTS`` in ``obs/cost_model.py``,
+``EVENT_TYPES`` in ``obs/events.py``, ``_PROBES`` in ``obs/claims.py``
+-- plus the human kind->category table in ``docs/PROTOCOLS.md``.  Each
+can silently drift from the code that uses it: an unpriced kind falls
+back to ``control@64B`` without a signal, a schemaless event ships
+unvalidated, an unknown claim id raises at report time, an undocumented
+kind misleads readers.  (The codec's tag set is not among them: its
+encode and decode dispatch are built from one table in
+``live/net/codec.py``, so the one-sided tag CONF002 looked for cannot
+be written.)
 
 These rules extract every *use* from the AST (kinds constructed or
-charged, tags encoded vs decoded, events emitted, claim ids produced)
-and cross-check them against the registries.  Each rule silently skips
+charged, events emitted, claim ids produced) and cross-check them
+against the registries.  Each rule silently skips
 when its anchor registry module is not in the scanned tree, so fixture
 trees for unrelated rules stay clean.
 
@@ -37,7 +39,6 @@ from repro.lint.rules import dotted_name
 COST_MODEL_REL = "obs/cost_model.py"
 EVENTS_REL = "obs/events.py"
 CLAIMS_REL = "obs/claims.py"
-CODEC_REL = "live/net/codec.py"
 PROTOCOLS_DOC = "docs/PROTOCOLS.md"
 
 #: ``| `kind` | category | ...`` rows of the PROTOCOLS.md cost tables.
@@ -157,71 +158,6 @@ class UnpricedMessageKind(ProjectRule):
                 call.args[0].value, str
             ):
                 return call.args[0].value
-        return None
-
-
-@register
-class OneSidedCodecTag(ProjectRule):
-    id = "CONF002"
-    title = "codec wire tag registered for only one of encode/decode"
-    rationale = (
-        "Every tagged object under the `__past__` key must round-trip: a "
-        "tag only the encoder knows produces frames the peer rejects as "
-        "'unknown wire tag' (a protocol-level poison), and a decode-only "
-        "tag is dead code that masks a missing encoder.  The socket "
-        "conformance suite only exercises kinds the tests happen to send; "
-        "this rule checks the whole table."
-    )
-    scopes = (CODEC_REL,)
-
-    def check_project(self, index: ProjectIndex) -> Iterator[Finding]:
-        module = index.module(CODEC_REL)
-        if module is None:
-            return
-        encoded: Dict[str, ast.AST] = {}
-        decoded: Dict[str, ast.AST] = {}
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.Dict):
-                tag = self._dict_tag(node)
-                if tag is not None:
-                    encoded.setdefault(tag, node)
-            elif (
-                isinstance(node, ast.Compare)
-                and isinstance(node.left, ast.Name)
-                and node.left.id == "tag"
-                and len(node.ops) == 1
-                and isinstance(node.ops[0], ast.Eq)
-                and isinstance(node.comparators[0], ast.Constant)
-                and isinstance(node.comparators[0].value, str)
-            ):
-                decoded.setdefault(node.comparators[0].value, node)
-        for tag in sorted(set(encoded) - set(decoded)):
-            yield finding_at(
-                self, module.path, encoded[tag],
-                f"wire tag {tag!r} is encoded but never decoded -- peers "
-                "reject these frames as 'unknown wire tag'; add the decode "
-                "branch in _decode_obj",
-            )
-        for tag in sorted(set(decoded) - set(encoded)):
-            yield finding_at(
-                self, module.path, decoded[tag],
-                f"wire tag {tag!r} is decoded but never encoded -- dead "
-                "decode branch, or the encoder for this type is missing",
-            )
-
-    @staticmethod
-    def _dict_tag(node: ast.Dict) -> Optional[str]:
-        """The tag of a ``{TAG: "x", ...}`` encode-side literal."""
-        for key, value in zip(node.keys, node.values):
-            is_tag_key = (isinstance(key, ast.Name) and key.id == "TAG") or (
-                isinstance(key, ast.Constant) and key.value == "__past__"
-            )
-            if (
-                is_tag_key
-                and isinstance(value, ast.Constant)
-                and isinstance(value.value, str)
-            ):
-                return value.value
         return None
 
 

@@ -5,8 +5,8 @@ this package puts them on actual localhost TCP sockets:
 
 * :mod:`repro.live.net.framing` -- length-prefixed frames, torn-read
   tolerant decoding, oversized rejection, garbage resync;
-* :mod:`repro.live.net.codec` -- tagged-JSON serialization of message
-  payloads (certificates, keys, file data);
+* :mod:`repro.live.net.codec` -- versioned binary serialization of
+  messages (tagged values; certificates, keys, raw file data);
 * :mod:`repro.live.net.pool` -- per-node ``asyncio.start_server``
   endpoints and pooled per-peer outbound links with bounded send
   queues (the backpressure point);

@@ -4,7 +4,7 @@ One frame on the TCP stream is::
 
     +-------+-----------------+------------------------+
     | magic | length (4B, BE) | payload (length bytes) |
-    |  "Pw" |                 |  JSON, UTF-8           |
+    |  "Pw" |                 |  one encoded Message   |
     +-------+-----------------+------------------------+
 
 The decoder is an incremental state machine fed whatever the socket

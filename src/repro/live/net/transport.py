@@ -36,7 +36,7 @@ from __future__ import annotations
 import asyncio
 from typing import Optional, Set
 
-from repro.live.net.codec import decode_message, encode_message
+from repro.live.net.codec import CodecError, decode_message, encode_message
 from repro.live.net.framing import DEFAULT_MAX_FRAME, encode_frame
 from repro.live.net.pool import DEFAULT_SEND_QUEUE, NodePool
 from repro.live.transport import (
@@ -119,25 +119,33 @@ class SocketTransport(TransportBase):
         """Decode one inbound frame payload into *address*'s mailbox."""
         try:
             message = decode_message(payload)
-        except ValueError:
+        except CodecError:
             self.frames_discarded += 1
-            self._in_flight -= 1
+            self._landed()
             return
         if address in self._dead or address not in self._mailboxes:
             # Raced a kill: the bytes arrived but nobody is home.
             self.messages_dropped += 1
-            self._in_flight -= 1
+            self._landed()
             return
         # May block when the mailbox is full -- that is the backpressure
         # propagating to this connection's reader, by design.
         await self._mailboxes[address].put(message)
         self.frames_delivered += 1
-        self._in_flight -= 1
+        self._landed()
+
+    def _landed(self) -> None:
+        """One frame left the wire.  Listeners accept any TCP client, so
+        the frame may be one this transport never enqueued: the count
+        stops at zero, or a single foreign frame would leave ``idle()``
+        false for good."""
+        if self._in_flight > 0:
+            self._in_flight -= 1
 
     def _discard(self, frame: bytes) -> None:
         """A link gave up on a frame (dead endpoint, broken wire)."""
         self.frames_discarded += 1
-        self._in_flight -= 1
+        self._landed()
 
     # ------------------------------------------------------------------ #
     # send side
@@ -182,11 +190,17 @@ class SocketTransport(TransportBase):
         """Queue *frame* on a link within the send timeout."""
         self._in_flight += 1
         try:
-            await asyncio.wait_for(link.queue.put(frame), self._send_timeout)
-            return True
-        except asyncio.TimeoutError:
-            self._in_flight -= 1
-            return False
+            # A queue with room (the measured depth is <= 1) costs no
+            # Task and no timer; only a full one is worth waiting on.
+            link.queue.put_nowait(frame)
+        except asyncio.QueueFull:
+            try:
+                await asyncio.wait_for(link.queue.put(frame),
+                                       self._send_timeout)
+            except asyncio.TimeoutError:
+                self._in_flight -= 1
+                return False
+        return True
 
     def _enqueue_deferred(self, link, frame: bytes) -> None:
         """call_later callback for reordered frames (sync context)."""

@@ -362,7 +362,7 @@ class TestEngine:
             "OBS001", "ERR001", "NEW001",
             # whole-program analyses (PR 9)
             "ASYNC101", "ASYNC102", "ASYNC103", "ASYNC104",
-            "CONF001", "CONF002", "CONF003", "CONF004", "CONF005",
+            "CONF001", "CONF003", "CONF004", "CONF005",
         }
         for rule in all_rules():
             assert rule.title and rule.rationale

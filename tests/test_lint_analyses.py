@@ -1,4 +1,4 @@
-"""Tests for the whole-program lint analyses (ASYNC101-104, CONF001-005).
+"""Tests for the whole-program lint analyses (ASYNC101-104, CONF001/003-005).
 
 Per diagnostic: a positive fixture (the bug shape fires) and a negative
 fixture (the fixed shape stays clean).  The ASYNC fixtures include
@@ -424,52 +424,6 @@ class TestCONF001UnpricedKind:
 
 
 # --------------------------------------------------------------------- #
-# CONF002: one-sided codec tag
-# --------------------------------------------------------------------- #
-
-def _codec(encode_tags, decode_tags):
-    lines = ['TAG = "__past__"\n']
-    for index, tag in enumerate(encode_tags):
-        lines.append(
-            f"def encode_{index}(obj):\n"
-            f'    return {{TAG: "{tag}", "body": obj}}\n'
-        )
-    lines.append("def decode(tag, payload):\n")
-    for tag in decode_tags:
-        lines.append(f'    if tag == "{tag}":\n        return payload\n')
-    lines.append("    raise ValueError(tag)\n")
-    return "".join(lines)
-
-
-class TestCONF002OneSidedTag:
-    def test_encode_only_tag(self, tmp_path):
-        write(
-            tmp_path, "live/net/codec.py",
-            _codec(["message", "node-id"], ["message"]),
-        )
-        findings = findings_for(tmp_path, "CONF002")
-        assert len(findings) == 1
-        assert "'node-id'" in findings[0].message
-        assert "never decoded" in findings[0].message
-
-    def test_decode_only_tag(self, tmp_path):
-        write(
-            tmp_path, "live/net/codec.py",
-            _codec(["message"], ["message", "node-id"]),
-        )
-        findings = findings_for(tmp_path, "CONF002")
-        assert len(findings) == 1
-        assert "never encoded" in findings[0].message
-
-    def test_symmetric_table_is_clean(self, tmp_path):
-        write(
-            tmp_path, "live/net/codec.py",
-            _codec(["message", "node-id"], ["message", "node-id"]),
-        )
-        assert rules_fired(tmp_path) == []
-
-
-# --------------------------------------------------------------------- #
 # CONF003: schemaless event
 # --------------------------------------------------------------------- #
 
@@ -698,11 +652,6 @@ class TestConformanceAcceptance:
             "def emit(Message, send):\n"
             '    send(Message(kind="mystery", sender=1))\n',
         )
-        # CONF002: "node-id" decodes but nothing encodes it.
-        write(
-            tmp_path, "live/net/codec.py",
-            _codec(["message"], ["message", "node-id"]),
-        )
         # CONF003: an Event subclass defined outside obs/events.py.
         write(tmp_path, "obs/events.py", _EVENTS_MODULE)
         write(
@@ -730,6 +679,5 @@ class TestConformanceAcceptance:
         assert code == 1
         counts = json.loads(capsys.readouterr().out)["counts"]
         assert counts == {
-            "CONF001": 1, "CONF002": 1, "CONF003": 1,
-            "CONF004": 1, "CONF005": 1,
+            "CONF001": 1, "CONF003": 1, "CONF004": 1, "CONF005": 1,
         }

@@ -23,7 +23,8 @@ from repro.core.smartcard import make_uncertified_card
 from repro.faults.plan import FaultPlan
 from repro.faults.policy import RetryPolicy
 from repro.live import Message
-from repro.live.net import SocketTransport
+from repro.live.net import SocketTransport, encode_message
+from repro.live.net.codec import WIRE_VERSION
 from repro.live.net.framing import encode_frame
 from repro.live.storage import LiveStorageCluster
 
@@ -296,6 +297,45 @@ class TestTypedSendResults:
         assert charged == wired > 0
 
 
+async def _after_foreign_frame(payload, landed):
+    """A TCP client that is not part of the cluster writes *payload* as
+    one frame to a node's listener.  Once ``landed(seen)`` is truthy,
+    report how the transport and that node look."""
+    transport = SocketTransport()
+    cluster = LiveStorageCluster(seed=31, transport=transport)
+    await cluster.start(4, join_concurrency=1)
+    victim = cluster.live_ids()[0]
+    host, port = await transport._pool.resolve(victim)
+    _, writer = await asyncio.open_connection(host, port)
+    writer.write(encode_frame(payload))
+    await writer.drain()
+    unknown = cluster.obs.metrics.counter("live.messages.unknown")
+
+    def seen():
+        return {"unknown": unknown.value,
+                "discarded": transport.frames_discarded}
+
+    for _ in range(200):
+        if landed(seen()):
+            break
+        await asyncio.sleep(0.01)
+    writer.close()
+    after = seen()
+    after["in_flight"] = transport.wire_stats()["in_flight"]
+    after["idle"] = transport.idle()
+    try:
+        await asyncio.wait_for(cluster._quiesce(), 2.0)
+        after["quiesced"] = True
+    except asyncio.TimeoutError:
+        after["quiesced"] = False
+    after["still_running"] = not cluster.nodes[victim]._task.done()
+    key = cluster.space.random_id(random.Random(4))
+    path = await cluster.route(key, victim)
+    after["routed"] = path[-1] == cluster.global_root(key)
+    await cluster.shutdown()
+    return after
+
+
 class TestClusterLifecycleOverSockets:
     def test_kill_and_route_around(self):
         """Killing nodes closes their listeners; routing still reaches
@@ -322,30 +362,34 @@ class TestClusterLifecycleOverSockets:
     def test_foreign_stop_frame_does_not_stop_a_node(self):
         """Shutdown is local-only: a well-formed ``stop`` message written
         by a foreign TCP peer is just an unknown kind -- counted, not
-        obeyed -- and the node goes on serving routes."""
+        obeyed -- and the node goes on serving routes.  Nor may a frame
+        this transport never enqueued unbalance its in-flight count:
+        that would leave ``idle()`` false and ``_quiesce()`` spinning."""
+        stop = encode_message(Message(kind="stop", sender=0))
+        after = run(_after_foreign_frame(stop, lambda seen: seen["unknown"]))
+        assert after == {
+            "unknown": 1, "discarded": 0, "in_flight": 0, "idle": True,
+            "quiesced": True, "still_running": True, "routed": True,
+        }
 
-        async def scenario():
-            transport = SocketTransport()
-            cluster = LiveStorageCluster(seed=31, transport=transport)
-            await cluster.start(4, join_concurrency=1)
-            victim = cluster.live_ids()[0]
-            host, port = await transport._pool.resolve(victim)
-            _, writer = await asyncio.open_connection(host, port)
-            writer.write(encode_frame(b'{"kind":"stop","sender":0,"payload":{}}'))
-            await writer.drain()
-            unknown = cluster.obs.metrics.counter("live.messages.unknown")
-            for _ in range(200):
-                if unknown.value:
-                    break
-                await asyncio.sleep(0.01)
-            writer.close()
-            still_running = not cluster.nodes[victim]._task.done()
-            key = cluster.space.random_id(random.Random(4))
-            path = await cluster.route(key, victim)
-            await cluster.shutdown()
-            return still_running, path[-1] == cluster.global_root(key), unknown.value
-
-        assert run(scenario()) == (True, True, 1)
+    def test_foreign_frame_with_non_str_kind_is_discarded(self):
+        """The node runtime dispatches on ``message.kind`` as a string; a
+        frame whose kind is an int must die in the decoder (typed
+        header), not in the node task."""
+        int64, none, empty_dict = b"\x03", b"\x00", b"\x09" + bytes(4)
+        frame = (
+            bytes([WIRE_VERSION])
+            + int64 + (7).to_bytes(8, "big")    # kind: an int, not a str
+            + int64 + bytes(8)                  # sender
+            + int64 + bytes(8)                  # message_id
+            + none                              # traceparent
+            + empty_dict                        # payload
+        )
+        after = run(_after_foreign_frame(frame, lambda seen: seen["discarded"]))
+        assert after == {
+            "unknown": 0, "discarded": 1, "in_flight": 0, "idle": True,
+            "quiesced": True, "still_running": True, "routed": True,
+        }
 
     def test_concurrent_client_load(self):
         """Many interleaved inserts+lookups over real sockets resolve
