@@ -498,10 +498,17 @@ def _cmd_load(args: argparse.Namespace) -> int:
         if collector is not None:
             artifacts["prom"] = collector.to_prometheus()
             artifacts["series"] = series
+        traces = obs.traces
         stats = {
             "transport": args.transport,
             "bytes_sent": getattr(cluster.transport, "bytes_sent", None),
             "messages_sent": cluster.transport.messages_sent,
+            # The collector's bounded window (obs/trace_context.py):
+            # what a long run keeps of its traces, and what it dropped.
+            "trace_spans_retained": len(traces),
+            "trace_spans_evicted": traces.evicted_spans,
+            "trace_traces_retained": len(traces.trace_ids()),
+            "trace_traces_evicted": traces.evicted_traces,
         }
         await cluster.shutdown()
         return report, stats, artifacts

@@ -14,8 +14,8 @@ messages over in-process queues:
   join, state exchange, announce) and the cluster orchestrator that
   bootstraps overlays with *concurrent* joins;
 * :mod:`repro.live.net` -- the same ``send()`` contract over real
-  localhost TCP sockets (length-prefixed JSON frames, per-peer
-  connection pool, bounded send queues), proven behaviourally
+  localhost TCP sockets (length-prefixed frames in a binary codec,
+  per-peer connection pool, bounded send queues), proven behaviourally
   equivalent by the seeded conformance suite.
 
 The protocols are byte-compatible with the synchronous simulator: the

@@ -49,11 +49,12 @@ ROUTE_TIMEOUT = 10.0  # seconds of real time; generous for CI machines
 LIVE_METRIC_HELP = {
     "live.messages": "Messages sent by live nodes, by protocol kind.",
     "live.messages.unknown": "Received messages of a kind no handler serves.",
+    "live.messages.malformed": "Received messages a handler rejected as malformed.",
     "live.nodes": "Live (responding) nodes in the cluster.",
     "live.joins": "Completed live join protocols.",
     "live.retries": "Live operation retry attempts, by operation.",
     "live.route.hops": "Overlay hops per completed live route.",
-    "live.trace.spans": "Span records collected from live traces.",
+    "live.trace.spans": "Span records retained from live traces.",
     "node.failures": "Nodes that stopped responding.",
     "storage.used_bytes": "Bytes stored across live replicas.",
     "wire.resynced_bytes": "Garbage bytes skipped resynchronizing frame streams.",
@@ -83,8 +84,6 @@ class LiveNode:
         self._policy = DeterministicRouting()
         self._task: Optional[asyncio.Task] = None
         self._running = False
-        # Per-trace child-span sequence numbers (see _trace_child).
-        self._trace_seq: Dict[str, int] = {}
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -114,7 +113,17 @@ class LiveNode:
                 break
             handler = getattr(self, f"_on_{message.kind.replace('-', '_')}", None)
             if handler is not None:
-                await handler(message)
+                try:
+                    await handler(message)
+                except (KeyError, TypeError, ValueError):
+                    # A well-typed frame from outside the cluster can still
+                    # miss a field or carry a wrong-typed one; one such
+                    # frame must not end the node task (nor, re-raised
+                    # from stop(), the cluster's shutdown).
+                    if self.cluster.obs.enabled:
+                        self.cluster.obs.metrics.counter(
+                            "live.messages.malformed"
+                        ).increment()
             elif self.cluster.obs.enabled:
                 # No per-kind label: the kind string came from outside.
                 self.cluster.obs.metrics.counter("live.messages.unknown").increment()
@@ -149,11 +158,12 @@ class LiveNode:
         spans stay distinct even when a duplicated message replays the
         same handler.  The counter is scoped per trace: concurrent
         operations cannot perturb each other's ids, which is what keeps
-        interleaved traces individually byte-deterministic.
+        interleaved traces individually byte-deterministic.  The
+        collector keeps it with the trace's spans, so it is evicted
+        with them.
         """
         ctx = TraceContext.from_traceparent(header)
-        seq = self._trace_seq.get(ctx.trace_id, 0)
-        self._trace_seq[ctx.trace_id] = seq + 1
+        seq = self.cluster.obs.traces.child_seq(ctx.trace_id, self.node_id)
         return ctx.child(self.node_id, seq, *qualifiers)
 
     def _point_span(self, parent: Optional[str], name: str,

@@ -44,8 +44,11 @@ class LiveStorageNode(LiveNode):
         self._pending_inserts: Dict[int, dict] = {}
         # request_id -> final result payload: lets the root replay the
         # outcome when a retried insert arrives after completion (the
-        # original insert-result may have been lost in flight).
+        # original insert-result may have been lost in flight).  Two
+        # generations, rotated by _remember_result.
         self._completed_inserts: Dict[int, dict] = {}
+        self._completed_older: Dict[int, dict] = {}
+        self._completed_since = 0.0  # loop time of the last rotation
 
     # ------------------------------------------------------------------ #
     # route delivery overrides
@@ -102,6 +105,8 @@ class LiveStorageNode(LiveNode):
         parent = payload.get("traceparent")
         tracing = obs.enabled and parent is not None
         completed = self._completed_inserts.get(request_id)
+        if completed is None:
+            completed = self._completed_older.get(request_id)
         if completed is not None:
             # Client retry after we finished: the original result was
             # lost; replay it instead of re-running the insert.
@@ -275,7 +280,7 @@ class LiveStorageNode(LiveNode):
                 "success": True,
                 "holders": sorted(pending["stored"]),
             }
-            self._completed_inserts[request_id] = result
+            self._remember_result(request_id, result)
             await self._send(
                 pending["client"],
                 Message(kind="insert-result", sender=self.node_id,
@@ -286,15 +291,32 @@ class LiveStorageNode(LiveNode):
                 len(pending["needed"]) < pending["certificate"].replication_factor:
             # Someone refused: the insert cannot reach k replicas.
             self._retire_pending(request_id, pending)
-            self._completed_inserts[request_id] = {
+            self._remember_result(request_id, {
                 "request_id": request_id, "success": False,
                 "reason": "refused", "holders": [],
-            }
+            })
             await self._insert_failed(
                 {"client": pending["client"], "request_id": request_id,
                  "traceparent": pending.get("traceparent")},
                 "refused",
             )
+
+    def _remember_result(self, request_id: int, result: dict) -> None:
+        """Keep a completed insert's *result* for replay to its retries.
+
+        The client retries only within ROUTE_TIMEOUT, so a result older
+        than PENDING_INSERT_TTL has nobody left to replay to.  Instead
+        of a timer per insert, results live in two generations and the
+        newer becomes the older once it is PENDING_INSERT_TTL old,
+        checked here as inserts complete: every result is kept at least
+        the TTL, and dropped at the second rotation after it.
+        """
+        now = asyncio.get_running_loop().time()
+        if now - self._completed_since >= PENDING_INSERT_TTL:
+            self._completed_older = self._completed_inserts
+            self._completed_inserts = {}
+            self._completed_since = now
+        self._completed_inserts[request_id] = result
 
     def _retire_pending(self, request_id: int, pending: dict) -> None:
         del self._pending_inserts[request_id]

@@ -9,8 +9,8 @@ implementations share the contract:
   optional modelled latency: the deterministic baseline every
   conformance test compares against;
 * :class:`repro.live.net.SocketTransport` -- real asyncio TCP over
-  localhost with length-prefixed JSON frames, a per-peer connection
-  pool and bounded send queues (backpressure).
+  localhost with length-prefixed binary frames (``live/net/codec.py``),
+  a per-peer connection pool and bounded send queues (backpressure).
 
 ``send`` returns a typed :class:`SendResult`, not a bare bool, because
 three different failures used to collapse into one falsy value:

@@ -23,6 +23,11 @@ when the caller supplies it (the churn simulation stamps its lookup
 traces with engine time).  Durations therefore order operations by how
 much traced work happened during them, which is what the ``repro
 trace`` slow-op log ranks by.
+
+Retention is bounded: the collector keeps whole traces in two
+generations of :data:`TRACE_RETENTION` traces each and drops the older
+generation in one step when the newer one fills, so a long-running
+cluster holds a fixed window of recent traces, not its whole history.
 """
 
 from __future__ import annotations
@@ -31,14 +36,19 @@ import json
 import random
 import re
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.obs.spans import Span
 from repro.sim.rng import stable_seed
 
 TRACEPARENT_VERSION = "00"
 FLAG_SAMPLED = 0x01
+
+#: Traces per generation.  Once the first generation has filled, a
+#: collector holds between this many and twice this many whole traces.
+TRACE_RETENTION = 1024
 
 _TRACEPARENT_RE = re.compile(
     r"^(?P<version>[0-9a-f]{2})-(?P<trace_id>[0-9a-f]{32})"
@@ -149,6 +159,22 @@ class SpanRecord:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
+def _span_record(row: tuple) -> SpanRecord:
+    """A retained row (see :class:`TraceCollector`) as a record."""
+    return SpanRecord(*row[1:7], tuple(zip(row[7::2], row[8::2])))
+
+
+class _Trace:
+    """One retained trace: its span rows in collection order, and the
+    per-node child-span counters behind :meth:`TraceCollector.child_seq`."""
+
+    __slots__ = ("rows", "child_seqs")
+
+    def __init__(self) -> None:
+        self.rows: List[tuple] = []
+        self.child_seqs: Dict[int, int] = {}
+
+
 class TraceCollector:
     """Collects flat span records and rebuilds per-trace span trees.
 
@@ -157,16 +183,64 @@ class TraceCollector:
     under seeded asyncio interleavings without ever reading the wall
     clock (lint rule DET002's concern).  Callers with real timestamps
     (sim-time) pass them explicitly instead.
+
+    Retention: traces live in two generations, ``current`` and
+    ``older``.  A span or counter for a trace either one holds lands
+    there; a new trace id joins ``current``, and when ``current``
+    already holds :data:`TRACE_RETENTION` traces the collector first
+    drops ``older`` whole (counted in :attr:`evicted_traces` /
+    :attr:`evicted_spans`) and demotes ``current`` to ``older``.  A
+    trace is therefore never cut in half unless that many traces start
+    while it is in flight.
+
+    A retained span is one flat tuple, ``(seq, trace_id, span_id,
+    parent_id, name, start, end, key, value, key, value, ...)``, and
+    becomes a :class:`SpanRecord` only on read-out.  CPython's cyclic
+    GC stops tracking a tuple once it sees only atomic values inside,
+    so retained spans cost its full passes nothing.  The attributes are
+    spliced in rather than nested as pairs because a nested tuple is
+    untracked only after its members are, one level per pass -- a row
+    would be promoted to the oldest generation still tracked.
     """
 
     def __init__(self) -> None:
-        self._records: List[SpanRecord] = []
-        self._by_trace: Dict[str, List[SpanRecord]] = {}
+        self._current: Dict[str, _Trace] = {}
+        self._older: Dict[str, _Trace] = {}
+        self._seq = 0  # spans ever recorded; orders rows across traces
         self._clock = 0.0
+        self.evicted_traces = 0
+        self.evicted_spans = 0
 
     def tick(self) -> float:
         self._clock += 1.0
         return self._clock
+
+    def _find(self, trace_id: str) -> Optional[_Trace]:
+        trace = self._current.get(trace_id)
+        return trace if trace is not None else self._older.get(trace_id)
+
+    def _trace(self, trace_id: str) -> _Trace:
+        """The retained entry for *trace_id*, opened (rotating the
+        generations first if ``current`` is full) when it is new."""
+        trace = self._find(trace_id)
+        if trace is None:
+            if len(self._current) >= TRACE_RETENTION:
+                self.evicted_traces += len(self._older)
+                self.evicted_spans += sum(
+                    len(old.rows) for old in self._older.values()
+                )
+                self._older, self._current = self._current, {}
+            trace = self._current[trace_id] = _Trace()
+        return trace
+
+    def child_seq(self, trace_id: str, node_id: int) -> int:
+        """The next child-span sequence number of *node_id* under
+        *trace_id*: 0, 1, 2, ... per (node, trace).  The counters live
+        in the trace's entry, so they are evicted with the trace."""
+        counters = self._trace(trace_id).child_seqs
+        seq = counters.get(node_id, 0)
+        counters[node_id] = seq + 1
+        return seq
 
     def record(
         self,
@@ -175,42 +249,64 @@ class TraceCollector:
         start: Optional[float] = None,
         end: Optional[float] = None,
         **attributes: object,
-    ) -> SpanRecord:
+    ) -> None:
         """Record one finished span under *ctx*.  Omitted timestamps are
         stamped from the logical clock (start == end: a point event)."""
         if start is None:
             start = self.tick()
         if end is None:
             end = start
-        record = SpanRecord(
-            trace_id=ctx.trace_id,
-            span_id=ctx.span_id,
-            parent_id=ctx.parent_id,
-            name=name,
-            start=start,
-            end=end,
-            attributes=tuple(sorted(attributes.items())),
-        )
-        self._records.append(record)
-        self._by_trace.setdefault(ctx.trace_id, []).append(record)
-        return record
+        self._add(ctx.trace_id, ctx.span_id, ctx.parent_id, name, start,
+                  end, sorted(attributes.items()))
+
+    def _add(self, trace_id: str, span_id: str, parent_id: Optional[str],
+             name: str, start: float, end: float,
+             attributes: Iterable[Tuple[str, object]]) -> None:
+        """Retain one span; *attributes* are its sorted (key, value)
+        pairs."""
+        rows = self._trace(trace_id).rows
+        self._seq += 1
+        rows.append((self._seq, trace_id, span_id, parent_id, name, start,
+                     end, *chain.from_iterable(attributes)))
 
     # ------------------------------------------------------------------ #
     # read-out
     # ------------------------------------------------------------------ #
 
+    def _rows(self) -> List[tuple]:
+        """Every retained row, in collection order."""
+        rows = [
+            row
+            for generation in (self._older, self._current)
+            for trace in generation.values()
+            for row in trace.rows
+        ]
+        rows.sort()  # seq leads each row and is unique
+        return rows
+
     def records(self) -> List[SpanRecord]:
-        return list(self._records)
+        """The retained spans in collection order."""
+        return [_span_record(row) for row in self._rows()]
 
     def trace_ids(self) -> List[str]:
-        """Trace ids in first-seen order (deterministic per seed)."""
-        return list(self._by_trace)
+        """Ids of the retained traces with spans, in first-seen order
+        (deterministic per seed)."""
+        return [
+            trace_id
+            for generation in (self._older, self._current)
+            for trace_id, trace in generation.items()
+            if trace.rows
+        ]
 
     def trace_records(self, trace_id: str) -> List[SpanRecord]:
-        return list(self._by_trace.get(trace_id, []))
+        trace = self._find(trace_id)
+        if trace is None:
+            return []
+        return [_span_record(row) for row in trace.rows]
 
     def __len__(self) -> int:
-        return len(self._records)
+        """Retained spans."""
+        return self._seq - self.evicted_spans
 
     # ------------------------------------------------------------------ #
     # tree assembly
@@ -224,7 +320,7 @@ class TraceCollector:
         span ids -- a violated link means context propagation broke,
         which is precisely what the concurrent-insert tests check.
         """
-        records = self._by_trace.get(trace_id)
+        records = self.trace_records(trace_id)
         if not records:
             raise KeyError(f"unknown trace: {trace_id}")
         by_id: Dict[str, SpanRecord] = {}
@@ -279,7 +375,7 @@ class TraceCollector:
         if n < 1:
             raise ValueError("n must be >= 1")
         return sorted(
-            self._records,
+            self.records(),
             key=lambda r: (-r.duration, r.trace_id, r.span_id),
         )[:n]
 
@@ -288,13 +384,13 @@ class TraceCollector:
     # ------------------------------------------------------------------ #
 
     def to_jsonl(self) -> str:
-        """One record per line in collection order: byte-identical
-        across identical seeded runs."""
-        return "".join(record.to_json() + "\n" for record in self._records)
+        """The retained spans, one per line in collection order:
+        byte-identical across identical seeded runs."""
+        return "".join(record.to_json() + "\n" for record in self.records())
 
     def write_jsonl(self, path: Union[str, Path]) -> int:
         Path(path).write_text(self.to_jsonl(), encoding="utf-8")
-        return len(self._records)
+        return len(self)
 
 
 def load_trace_jsonl(path: Union[str, Path]) -> TraceCollector:
@@ -312,19 +408,18 @@ def load_trace_jsonl(path: Union[str, Path]) -> TraceCollector:
         except json.JSONDecodeError as exc:
             raise ValueError(f"line {line_number}: invalid JSON ({exc.msg})") from exc
         try:
-            record = SpanRecord(
-                trace_id=obj["trace_id"],
-                span_id=obj["span_id"],
-                parent_id=obj["parent_id"],
-                name=obj["name"],
-                start=float(obj["start"]),
-                end=float(obj["end"]),
-                attributes=tuple(sorted(obj["attributes"].items())),
+            end = float(obj["end"])
+            collector._add(
+                obj["trace_id"],
+                obj["span_id"],
+                obj["parent_id"],
+                obj["name"],
+                float(obj["start"]),
+                end,
+                sorted(obj["attributes"].items()),
             )
         except (KeyError, TypeError, AttributeError) as exc:
             raise ValueError(f"line {line_number}: not a span record") from exc
-        collector._records.append(record)
-        collector._by_trace.setdefault(record.trace_id, []).append(record)
-        clock = max(clock, record.end)
+        clock = max(clock, end)
     collector._clock = clock
     return collector

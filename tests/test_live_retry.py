@@ -24,6 +24,7 @@ from repro.core.files import SyntheticData
 from repro.core.smartcard import make_uncertified_card
 from repro.faults.plan import FaultPlan
 from repro.faults.policy import RetryPolicy
+from repro.live import Message, storage
 from repro.live.storage import LiveStorageCluster
 
 
@@ -218,3 +219,60 @@ class TestExhaustion:
         assert error.operation == "past-insert"
         assert error.attempts == 4
         assert "no reply" in str(error)
+
+
+async def _resend_insert(cluster, request_id, certificate, data, origin):
+    """Re-send insert *request_id* as a client retry does (same request
+    id, fresh trail) and return the reply it gets."""
+    future = asyncio.get_running_loop().create_future()
+    cluster._reply_futures[request_id] = future
+    payload = {"key": certificate.storage_key(), "purpose": "past-insert",
+               "certificate": certificate, "data": data, "client": origin,
+               "origin": origin, "request_id": request_id, "trail": []}
+    await cluster.transport.send(
+        origin, Message(kind="route", sender=origin, payload=payload)
+    )
+    return await asyncio.wait_for(future, 2.0)
+
+
+class TestCompletedInsertExpiry:
+    def test_results_replay_within_the_ttl_then_expire(self, monkeypatch):
+        """A root keeps each completed insert's result for replay, in
+        two generations rotated every PENDING_INSERT_TTL as inserts
+        complete: a retry still gets the result after one rotation, and
+        two rotations forget it (it used to be kept forever)."""
+        ttl = 0.2
+        monkeypatch.setattr(storage, "PENDING_INSERT_TTL", ttl)
+
+        async def scenario():
+            cluster = LiveStorageCluster(seed=11)
+            await cluster.start(8, join_concurrency=4)
+            origin = cluster.live_ids()[0]
+            pairs = make_certs(60)
+            root_id = cluster.global_root(pairs[0][0].storage_key())
+            first, second, third = [
+                pair for pair in pairs
+                if cluster.global_root(pair[0].storage_key()) == root_id
+            ][:3]
+            root = cluster.nodes[root_id]
+            original = await cluster.insert(*first, origin)
+            request_id = original["request_id"]
+            replays = [await _resend_insert(cluster, request_id, *first, origin)]
+            await asyncio.sleep(ttl * 1.5)
+            await cluster.insert(*second, origin)  # first rotation
+            replays.append(await _resend_insert(cluster, request_id, *first, origin))
+            await asyncio.sleep(ttl * 1.5)
+            await cluster.insert(*third, origin)  # second rotation
+            kept = len(root._completed_inserts) + len(root._completed_older)
+            expired = await _resend_insert(cluster, request_id, *first, origin)
+            await cluster.shutdown()
+            return original, replays, kept, expired
+
+        original, replays, kept, expired = run(scenario())
+        assert original["success"]
+        assert replays == [original, original]
+        assert kept == 2  # the second and third results only
+        # Forgotten: the retry now runs as a fresh insert of a file the
+        # root already holds, and is refused as a duplicate.
+        assert expired["success"] is False
+        assert expired["reason"] == "duplicate"

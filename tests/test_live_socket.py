@@ -297,18 +297,32 @@ class TestTypedSendResults:
         assert charged == wired > 0
 
 
+async def _foreign_frame_cluster(payload):
+    """Boot a 4-node socket cluster and have a TCP client that is not
+    part of it write *payload* as one frame to a node's listener;
+    returns the cluster, that node's id and the client's writer."""
+    cluster = LiveStorageCluster(seed=31, transport=SocketTransport())
+    await cluster.start(4, join_concurrency=1)
+    victim = cluster.live_ids()[0]
+    host, port = await cluster.transport._pool.resolve(victim)
+    _, writer = await asyncio.open_connection(host, port)
+    writer.write(encode_frame(payload))
+    await writer.drain()
+    return cluster, victim, writer
+
+
+async def _routes_to_root(cluster, origin):
+    key = cluster.space.random_id(random.Random(4))
+    path = await cluster.route(key, origin)
+    return path[-1] == cluster.global_root(key)
+
+
 async def _after_foreign_frame(payload, landed):
     """A TCP client that is not part of the cluster writes *payload* as
     one frame to a node's listener.  Once ``landed(seen)`` is truthy,
     report how the transport and that node look."""
-    transport = SocketTransport()
-    cluster = LiveStorageCluster(seed=31, transport=transport)
-    await cluster.start(4, join_concurrency=1)
-    victim = cluster.live_ids()[0]
-    host, port = await transport._pool.resolve(victim)
-    _, writer = await asyncio.open_connection(host, port)
-    writer.write(encode_frame(payload))
-    await writer.drain()
+    cluster, victim, writer = await _foreign_frame_cluster(payload)
+    transport = cluster.transport
     unknown = cluster.obs.metrics.counter("live.messages.unknown")
 
     def seen():
@@ -329,9 +343,7 @@ async def _after_foreign_frame(payload, landed):
     except asyncio.TimeoutError:
         after["quiesced"] = False
     after["still_running"] = not cluster.nodes[victim]._task.done()
-    key = cluster.space.random_id(random.Random(4))
-    path = await cluster.route(key, victim)
-    after["routed"] = path[-1] == cluster.global_root(key)
+    after["routed"] = await _routes_to_root(cluster, victim)
     await cluster.shutdown()
     return after
 
@@ -390,6 +402,28 @@ class TestClusterLifecycleOverSockets:
             "unknown": 0, "discarded": 1, "in_flight": 0, "idle": True,
             "quiesced": True, "still_running": True, "routed": True,
         }
+
+    def test_foreign_frame_missing_a_field_is_counted_not_fatal(self):
+        """A well-typed ``route`` frame with an empty payload decodes
+        fine, then fails in the handler: it used to end the node task
+        with ``KeyError('key')``, which ``shutdown()`` re-raised.  Now
+        it is counted as malformed and the node keeps routing."""
+
+        async def scenario():
+            frame = encode_message(Message(kind="route", sender=1, payload={}))
+            cluster, victim, writer = await _foreign_frame_cluster(frame)
+            malformed = cluster.obs.metrics.counter("live.messages.malformed")
+            for _ in range(200):
+                if malformed.value:
+                    break
+                await asyncio.sleep(0.01)
+            writer.close()
+            running = not cluster.nodes[victim]._task.done()
+            routed = await _routes_to_root(cluster, victim)
+            await asyncio.wait_for(cluster.shutdown(), 5.0)  # must not raise
+            return malformed.value, running, routed
+
+        assert run(scenario()) == (1, True, True)
 
     def test_concurrent_client_load(self):
         """Many interleaved inserts+lookups over real sockets resolve

@@ -1,10 +1,12 @@
 """Units for the trace-context layer and the claim observatory."""
 
+import gc
 import json
 import random
 
 import pytest
 
+from repro.obs import trace_context
 from repro.obs.claims import (
     ClaimVerdict,
     evaluate_claims,
@@ -161,6 +163,79 @@ class TestTraceCollector:
         assert payload["attributes"] == {"a": 2, "b": 1}
         assert record.duration == 1.0
         assert " " not in record.to_json()
+
+
+class TestTraceRetention:
+    """Two generations of TRACE_RETENTION whole traces (monkeypatched
+    to 4 here): the older generation is dropped in one step when the
+    newer one fills."""
+
+    @pytest.fixture(autouse=True)
+    def small_retention(self, monkeypatch):
+        monkeypatch.setattr(trace_context, "TRACE_RETENTION", 4)
+
+    def _roots(self, count):
+        rng = random.Random(11)
+        return [TraceContext.root(rng) for _ in range(count)]
+
+    def test_rotation_drops_whole_older_generation(self):
+        collector = TraceCollector()
+        roots = self._roots(11)
+        for index, root in enumerate(roots):
+            collector.record(root, "op")
+            collector.record(root.child("leaf"), "leaf")
+            if index == 5:
+                # A late span for a trace the older generation holds
+                # lands there: it neither opens a trace nor rotates.
+                collector.record(roots[0].child("late"), "late")
+        # Traces 1-4 were dropped when trace 9 arrived (5-8 full, 9-11
+        # current), trace 1's late span with them.
+        assert collector.trace_ids() == [root.trace_id for root in roots[4:]]
+        assert collector.evicted_traces == 4
+        assert collector.evicted_spans == 4 * 2 + 1
+        assert len(collector) == 7 * 2
+        assert len(collector.records()) == len(collector)
+        assert collector.trace_records(roots[0].trace_id) == []
+        for root in roots[4:]:
+            collector.assemble(root.trace_id)  # whole, hence well-formed
+
+    def test_child_seq_is_per_node_and_dies_with_its_trace(self):
+        collector = TraceCollector()
+        first, *others = self._roots(9)
+        assert [collector.child_seq(first.trace_id, 1) for _ in range(3)] == [0, 1, 2]
+        assert collector.child_seq(first.trace_id, 2) == 0
+        # Counters open a trace entry, but a trace with no spans is not
+        # listed until it records one.
+        assert collector.trace_ids() == []
+        for root in others:
+            collector.record(root, "op")
+        assert collector.evicted_traces == 4
+        assert collector.child_seq(first.trace_id, 1) == 0
+
+    def test_records_and_export_keep_collection_order(self, tmp_path):
+        collector = TraceCollector()
+        roots = self._roots(6)
+        for root in roots:
+            collector.record(root.child("a"), "a")
+        for root in reversed(roots):
+            collector.record(root, "op")
+        names = [(r.trace_id, r.name) for r in collector.records()]
+        assert names == [(root.trace_id, "a") for root in roots] + [
+            (root.trace_id, "op") for root in reversed(roots)
+        ]
+        path = tmp_path / "traces.jsonl"
+        assert collector.write_jsonl(path) == 12
+        loaded = load_trace_jsonl(path)
+        assert loaded.to_jsonl() == collector.to_jsonl()
+        assert loaded.trace_ids() == collector.trace_ids()
+
+    def test_retained_rows_are_untracked_by_the_gc(self):
+        collector = TraceCollector()
+        for root in self._roots(3):
+            collector.record(root, "op", outcome="ok", hops=2, delivered=True)
+        gc.collect()
+        rows = collector._rows()
+        assert rows and not any(gc.is_tracked(row) for row in rows)
 
 
 # ---------------------------------------------------------------------- #

@@ -9,10 +9,14 @@ the same scenario export byte-identical JSONL.
 import asyncio
 import random
 
+import pytest
+
 from repro.core.files import SyntheticData
 from repro.core.smartcard import make_uncertified_card
 from repro.faults.plan import FaultPlan
 from repro.live.storage import LiveStorageCluster
+from repro.obs import trace_context
+from repro.obs.trace_context import TraceCollector, load_trace_jsonl
 from repro.obs.validate import check_prometheus_text
 
 
@@ -132,3 +136,79 @@ class TestInterleavedInsertTraces:
         first, _ = run(self._scenario())
         second, _ = run(self._scenario())
         assert first.obs.traces.to_jsonl() == second.obs.traces.to_jsonl()
+
+
+RETENTION = 8
+
+
+async def storage_ops(operations):
+    """*operations* in-process storage ops at a 1:3 insert:lookup mix,
+    one at a time, on a 10-node cluster."""
+    cluster = LiveStorageCluster(seed=21)
+    await cluster.start(10, join_concurrency=5)
+    rng = random.Random(21)
+    pairs = make_certs(operations // 4)
+    for certificate, data in pairs:
+        result = await cluster.insert(certificate, data, rng.choice(cluster.live_ids()))
+        assert result["success"]
+    for _ in range(operations - len(pairs)):
+        certificate, _ = rng.choice(pairs)
+        found = await cluster.lookup(certificate.file_id, rng.choice(cluster.live_ids()))
+        assert found["data"] is not None
+    await cluster.shutdown()
+    return cluster
+
+
+class TestBoundedRetention:
+    """A long live run keeps a fixed window of whole traces: between N
+    and 2N of them (TRACE_RETENTION monkeypatched to N = 8)."""
+
+    @pytest.fixture(autouse=True)
+    def small_retention(self, monkeypatch):
+        monkeypatch.setattr(trace_context, "TRACE_RETENTION", RETENTION)
+        recorded = []
+        record = TraceCollector.record
+
+        def counting_record(collector, *args, **kwargs):
+            recorded.append(collector)
+            record(collector, *args, **kwargs)
+
+        monkeypatch.setattr(TraceCollector, "record", counting_record)
+        self.recorded = recorded
+
+    def test_window_holds_whole_well_formed_traces(self):
+        cluster = run(storage_ops(100))
+        traces = cluster.obs.traces
+        trace_ids = traces.trace_ids()
+        assert RETENTION <= len(trace_ids) <= 2 * RETENTION
+        assert traces.evicted_traces + len(trace_ids) == 100
+        assert traces.evicted_spans + len(traces) == len(self.recorded)
+        for trace_id in trace_ids:
+            tree = traces.assemble(trace_id)  # raises if malformed
+            assert tree.attributes["outcome"] == "ok"
+        # The per-(node, trace) span counters live in the collector.
+        assert not any(hasattr(node, "_trace_seq") for node in cluster.nodes.values())
+
+    def test_export_is_deterministic_and_round_trips(self, tmp_path):
+        first = run(storage_ops(100)).obs.traces
+        second = run(storage_ops(100)).obs.traces
+        exported = first.to_jsonl()
+        assert exported == second.to_jsonl()
+        path = tmp_path / "traces.jsonl"
+        assert first.write_jsonl(path) == len(first)
+        loaded = load_trace_jsonl(path)
+        assert loaded.to_jsonl() == exported
+        assert loaded.trace_ids() == first.trace_ids()
+
+    def test_doubling_the_ops_keeps_the_ceiling(self):
+        short = run(storage_ops(100)).obs.traces
+        long = run(storage_ops(200)).obs.traces
+        assert long.evicted_spans > short.evicted_spans
+        widest = max(
+            len(traces.trace_records(trace_id))
+            for traces in (short, long)
+            for trace_id in traces.trace_ids()
+        )
+        for traces in (short, long):
+            assert len(traces.trace_ids()) <= 2 * RETENTION
+            assert len(traces) <= 2 * RETENTION * widest
