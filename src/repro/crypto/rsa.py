@@ -86,8 +86,9 @@ class RsaPublicKey:
     e: int
 
     def verify(self, message: bytes, signature: int) -> bool:
-        """Check that *signature* is H(message)^d mod n."""
-        if not 0 < signature < self.n:
+        """Check that *signature* is H(message)^d mod n.  A key from the
+        wire may be nonsense; a non-positive exponent verifies nothing."""
+        if self.e < 1 or not 0 < signature < self.n:
             return False
         expected = int.from_bytes(hash_bytes(message), "big") % self.n
         return pow(signature, self.e, self.n) == expected

@@ -8,17 +8,12 @@ the synchronous simulator uses; routing decisions go through the same
 interleave, and dead peers are discovered through failed sends rather
 than an oracle.
 
-Protocol messages
------------------
-``route``          key routed hop by hop; carries a trail and, for join
-                   routes, the routing-table rows collected on the way.
-``route-result``   delivered notification back to the requesting node.
-``join-request``   X -> contact A: start the join route towards X's id.
-``join-reply``     root Z -> X: leaf set, neighborhood, collected rows.
-``announce``       X -> everyone in its new state: "I have arrived."
-
-Shutdown is not a message: a node's loop ends only on the local ``None``
-sentinel (:meth:`TransportBase.close_mailbox`) or on cancellation.
+The protocol messages -- all 17 kinds, each kind's payload fields and
+who may send it -- are the table :data:`repro.live.transport.LIVE_KINDS`.
+A node dispatches a message to its ``_on_<kind>`` handler and counts
+one it does not serve in ``live.messages.unknown``.  Shutdown is not a
+message: a node's loop ends only on the local ``None`` sentinel
+(:meth:`TransportBase.close_mailbox`) or on cancellation.
 """
 
 from __future__ import annotations
@@ -48,8 +43,7 @@ ROUTE_TIMEOUT = 10.0  # seconds of real time; generous for CI machines
 #: scrapers reject families without HELP/TYPE; see obs/validate.py).
 LIVE_METRIC_HELP = {
     "live.messages": "Messages sent by live nodes, by protocol kind.",
-    "live.messages.unknown": "Received messages of a kind no handler serves.",
-    "live.messages.malformed": "Received messages a handler rejected as malformed.",
+    "live.messages.unknown": "Received messages of a kind this node does not serve.",
     "live.nodes": "Live (responding) nodes in the cluster.",
     "live.joins": "Completed live join protocols.",
     "live.retries": "Live operation retry attempts, by operation.",
@@ -112,25 +106,20 @@ class LiveNode:
             if message is None:
                 break
             handler = getattr(self, f"_on_{message.kind.replace('-', '_')}", None)
-            if handler is not None:
-                try:
-                    await handler(message)
-                except (KeyError, TypeError, ValueError):
-                    # A well-typed frame from outside the cluster can still
-                    # miss a field or carry a wrong-typed one; one such
-                    # frame must not end the node task (nor, re-raised
-                    # from stop(), the cluster's shutdown).
-                    if self.cluster.obs.enabled:
-                        self.cluster.obs.metrics.counter(
-                            "live.messages.malformed"
-                        ).increment()
-            elif self.cluster.obs.enabled:
-                # No per-kind label: the kind string came from outside.
-                self.cluster.obs.metrics.counter("live.messages.unknown").increment()
+            if handler is None:
+                self._unserved()
+            else:
+                await handler(message)
 
     # ------------------------------------------------------------------ #
     # helpers
     # ------------------------------------------------------------------ #
+
+    def _unserved(self) -> None:
+        """Count a message this node does not serve: a reply only a
+        collector reads, a storage route at a plain node."""
+        if self.cluster.obs.enabled:
+            self.cluster.obs.metrics.counter("live.messages.unknown").increment()
 
     async def _send(self, destination: int, message: Message):
         """Send; a *dead-peer* result is the discovery of that death.
@@ -180,7 +169,7 @@ class LiveNode:
         obs.traces.record(ctx, name, node_id=f"{self.node_id:x}", **attributes)
         return ctx.to_traceparent()
 
-    async def _forward_route(self, payload: dict) -> None:
+    async def _forward_route(self, payload: dict, parent: Optional[str]) -> None:
         """Advance a route message one hop (or deliver it here).
 
         Retried messages carry a ``randomized_seed``: those hops are
@@ -188,14 +177,20 @@ class LiveNode:
         (retry, node), so a retry explores an alternate path around
         whatever swallowed the original instead of repeating it.
 
-        Traced routes (payload carries a ``traceparent``) record one
-        "hop" span per decision via ``next_hop_explained`` -- same
-        decision, annotated with the routing rule that fired -- and chain
-        the context: the forwarded payload carries *this* hop's context,
-        so the assembled tree mirrors the actual propagation path,
-        re-decides after failed sends included.
+        *payload* is read, never changed: each next hop is sent a new
+        one (the trail plus this node; for a join, the collected rows
+        plus this node's row), so a failed send needs no undo and a
+        duplicated delivery routes from the trail it was sent with.
+
+        Traced routes (a *parent* header) record one "hop" span per
+        decision via ``next_hop_explained`` -- same decision, annotated
+        with the routing rule that fired -- and chain the context: the
+        forwarded message's header is *this* hop's context, so the
+        assembled tree mirrors the actual propagation path, re-decides
+        after failed sends included.
         """
         key = payload["key"]
+        trail = payload["trail"]
         policy = self._policy
         rng = None
         retry_seed = payload.get("randomized_seed")
@@ -203,23 +198,24 @@ class LiveNode:
             policy = RandomizedRouting()
             rng = random.Random(stable_seed(retry_seed, self.node_id))
         obs = self.cluster.obs
-        parent = payload.get("traceparent")
         tracing = obs.enabled and parent is not None
+        header = parent
         while True:
             if tracing:
                 start = obs.traces.tick()
                 hop, rule = policy.next_hop_explained(self.state, key, rng)
             else:
                 hop = policy.next_hop(self.state, key, rng)
-            cycle_guard = hop is not None and hop in payload["trail"]
+            cycle_guard = hop is not None and hop in trail
             if cycle_guard:
                 hop = None  # cycle guard: deliver here (see network.route)
             if tracing:
                 ctx = self._trace_child(parent, "hop")
+                header = ctx.to_traceparent()
                 attributes = {
                     "node_id": f"{self.node_id:x}",
                     "rule": rule,
-                    "hop_index": len(payload["trail"]),
+                    "hop_index": len(trail),
                 }
                 if cycle_guard:
                     attributes["cycle_guard"] = True
@@ -229,20 +225,18 @@ class LiveNode:
                         ctx, "hop", start=start, end=obs.traces.tick(),
                         delivered=True, **attributes,
                     )
-                    payload["traceparent"] = ctx.to_traceparent()
-                await self._deliver_route(payload)
+                await self._deliver_route(payload, header)
                 return
-            payload["trail"].append(self.node_id)
-            if payload.get("collect_rows") is not None:
-                row_index = min(len(payload["trail"]) - 1, self.cluster.space.digits - 1)
-                payload["collect_rows"].append(
-                    (row_index, self.state.routing_table.row(row_index))
-                )
-            if tracing:
-                payload["traceparent"] = ctx.to_traceparent()
-            message = Message(kind="route", sender=self.node_id, payload=payload,
-                              traceparent=payload.get("traceparent"))
-            delivered = await self._send(hop, message)
+            forward = dict(payload, trail=trail + [self.node_id])
+            if "collect_rows" in payload:
+                row_index = min(len(trail), self.cluster.space.digits - 1)
+                forward["collect_rows"] = payload["collect_rows"] + [
+                    [row_index, self.state.routing_table.row(row_index)]
+                ]
+            delivered = await self._send(hop, Message(
+                kind="route", sender=self.node_id, payload=forward,
+                traceparent=header,
+            ))
             if tracing:
                 attributes["next_node"] = f"{hop:x}"
                 if not delivered:
@@ -252,41 +246,37 @@ class LiveNode:
                 )
             if delivered:
                 return
-            payload["trail"].pop()
-            if payload.get("collect_rows") is not None:
-                payload["collect_rows"].pop()
-            if tracing:
-                # Re-decide under the *incoming* context; the failed
-                # hop's span stays in the tree marked send_failed.
-                payload["traceparent"] = parent
-            # Send failed: the dead hop was forgotten; re-decide.
+            # Send failed: the dead hop was forgotten; re-decide, under
+            # the incoming context (the failed hop's span stays in the
+            # tree marked send_failed).
 
-    async def _deliver_route(self, payload: dict) -> None:
-        purpose = payload.get("purpose", "lookup")
+    async def _deliver_route(self, payload: dict, header: Optional[str]) -> None:
+        purpose = payload["purpose"]
         if purpose == "join":
             await self._answer_join(payload)
-            return
-        result = Message(
-            kind="route-result",
-            sender=self.node_id,
-            payload={
-                "request_id": payload["request_id"],
-                "path": payload["trail"] + [self.node_id],
-                "key": payload["key"],
-            },
-            traceparent=self._point_span(
-                payload.get("traceparent"), "deliver",
-                path_length=len(payload["trail"]) + 1,
-            ),
-        )
-        await self._send(payload["origin"], result)
+        elif purpose == "lookup":
+            result = Message(
+                kind="route-result",
+                sender=self.node_id,
+                payload={
+                    "request_id": payload["request_id"],
+                    "path": payload["trail"] + [self.node_id],
+                    "key": payload["key"],
+                },
+                traceparent=self._point_span(
+                    header, "deliver", path_length=len(payload["trail"]) + 1,
+                ),
+            )
+            await self._send(payload["origin"], result)
+        else:
+            self._unserved()
 
     # ------------------------------------------------------------------ #
     # message handlers
     # ------------------------------------------------------------------ #
 
     async def _on_route(self, message: Message) -> None:
-        await self._forward_route(message.payload)
+        await self._forward_route(message.payload, message.traceparent)
 
     async def _on_route_result(self, message: Message) -> None:
         obs = self.cluster.obs
@@ -309,7 +299,7 @@ class LiveNode:
                 self.state.neighborhood.members() | {self.node_id}
             ),
         }
-        await self._forward_route(payload)
+        await self._forward_route(payload, message.traceparent)
 
     async def _answer_join(self, payload: dict) -> None:
         """Root side: hand the joiner its initial state."""
@@ -318,8 +308,8 @@ class LiveNode:
             sender=self.node_id,
             payload={
                 "leaf_set": sorted(self.state.leaf_set.members() | {self.node_id}),
-                "neighborhood": payload.get("contact_neighborhood", []),
-                "rows": payload.get("collect_rows", []),
+                "neighborhood": payload["contact_neighborhood"],
+                "rows": payload["collect_rows"],
                 "trail": payload["trail"] + [self.node_id],
             },
         )
@@ -402,7 +392,7 @@ class LiveNode:
         """Serve a full metrics/ledger/span snapshot to a collector."""
         obs = self.cluster.obs
         payload: dict = {
-            "request_id": message.payload.get("request_id"),
+            "request_id": message.payload["request_id"],
             "node": f"{self.node_id:032x}",
             "state": self._telemetry_state(),
         }
@@ -414,7 +404,7 @@ class LiveNode:
             obs.metrics.gauge("live.trace.spans").set(float(len(obs.traces)))
             payload["registry"] = obs.metrics.export()
             payload["ledger"] = obs.ledger.summary(top=5)
-            span_count = int(message.payload.get("spans", 0) or 0)
+            span_count = message.payload["spans"]
             if span_count > 0:
                 payload["spans"] = [
                     record.to_dict()
@@ -435,23 +425,18 @@ class LiveNode:
         to windows the subscriber has not seen yet.
         """
         obs = self.cluster.obs
+        request = message.payload
         payload: dict = {
-            "request_id": message.payload.get("request_id"),
+            "request_id": request["request_id"],
             "node": f"{self.node_id:032x}",
         }
         recorder = getattr(obs, "timeseries", None)
         if obs.enabled and recorder is not None:
-            window = message.payload.get("window")
-            if window is not None:
-                recorder.configure_window(float(window))
-            at = message.payload.get("at")
-            if at is not None:
+            recorder.configure_window(request["window"])
+            if "at" in request:
                 self.cluster.transport.publish_wire_gauges(obs.metrics)
-                recorder.sample(obs.metrics, at=float(at))
-            since = message.payload.get("since")
-            payload["series"] = recorder.snapshot(
-                since=int(since) if since is not None else None
-            )
+                recorder.sample(obs.metrics, at=request["at"])
+            payload["series"] = recorder.snapshot(since=request["since"])
         await self._send(
             message.sender,
             Message(kind="telemetry-series", sender=self.node_id,
@@ -478,7 +463,7 @@ class LiveNode:
                 kind="health-report",
                 sender=self.node_id,
                 payload={
-                    "request_id": message.payload.get("request_id"),
+                    "request_id": message.payload["request_id"],
                     "node": f"{self.node_id:032x}",
                     "healthy": all(checks.values()),
                     "checks": checks,
@@ -733,7 +718,7 @@ class LiveCluster:
         :class:`AttemptLog` record and an equal share of *timeout*, with
         jittered exponential backoff between attempts.  The trace is a
         ``live.<op>`` root span plus one "attempt" child per (re)send
-        whose context travels inside the payload, so the assembled tree
+        whose context travels in the message header, so the assembled tree
         shows the hops, fan-out and serves the messages actually took.
         Exhaustion raises :class:`DegradedError` with the attempt history
         and trace id -- the caller degrades instead of hanging on one
@@ -767,10 +752,11 @@ class LiveCluster:
                     payload["randomized_seed"] = reroute_seed
                 attempt_ctx: Optional[TraceContext] = None
                 attempt_start = 0.0
+                header = None
                 if tracing:
                     attempt_ctx = root_ctx.child("attempt", attempt)
                     attempt_start = obs.traces.tick()
-                    payload["traceparent"] = attempt_ctx.to_traceparent()
+                    header = attempt_ctx.to_traceparent()
                 attempt_log.add(
                     attempt=attempt + 1,
                     span_id=attempt_ctx.span_id if attempt_ctx else "",
@@ -780,7 +766,7 @@ class LiveCluster:
                 )
                 await self.transport.send(
                     origin, Message(kind="route", sender=origin, payload=payload,
-                                    traceparent=payload.get("traceparent"))
+                                    traceparent=header)
                 )
                 try:
                     result = await asyncio.wait_for(

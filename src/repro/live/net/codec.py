@@ -43,7 +43,9 @@ decoder trusts nothing: every declared length and count is checked
 against the bytes that remain before anything is allocated, nesting is
 capped at :data:`MAX_DEPTH`, the header fields and the fields of domain
 objects are type-checked, trailing bytes are refused, and every such
-refusal is a :class:`CodecError`.
+refusal is a :class:`CodecError`.  The payload may be any value here:
+what it must hold is the kind table's to say
+(:data:`repro.live.transport.LIVE_KINDS`), checked at the socket edge.
 
 Encoding is deterministic -- the same message gives the same bytes --
 with dict entries in insertion order, so a receiver iterates a payload
@@ -96,18 +98,18 @@ class CodecError(ValueError):
 
 
 def _check_header(kind: Any, sender: Any, message_id: Any,
-                  traceparent: Any, payload: Any) -> None:
-    """The typed header, enforced on both sides of the wire: the node
-    runtime dispatches on ``kind`` and indexes ``payload`` unguarded."""
+                  traceparent: Any) -> None:
+    """The typed header, enforced on both sides of the wire.  What the
+    payload must hold is the kind table's business
+    (:func:`repro.live.transport.well_formed`), checked at the edge."""
     if not (isinstance(kind, str) and isinstance(sender, int)
             and isinstance(message_id, int)
-            and (traceparent is None or isinstance(traceparent, str))
-            and isinstance(payload, dict)):
+            and (traceparent is None or isinstance(traceparent, str))):
         raise CodecError(
             "message header must be (kind str, sender int, message_id int, "
-            "traceparent str|None, payload dict), got "
+            "traceparent str|None), got "
             + ", ".join(type(field).__name__ for field in
-                        (kind, sender, message_id, traceparent, payload))
+                        (kind, sender, message_id, traceparent))
         )
 
 
@@ -438,11 +440,11 @@ def encode_message(message: Message) -> bytes:
     """Serialize one message into a frame payload (deterministic:
     identical messages encode to identical bytes)."""
     header = (message.kind, message.sender, message.message_id,
-              message.traceparent, message.payload)
+              message.traceparent)
     _check_header(*header)
     chunks = [bytes([WIRE_VERSION])]
     put = chunks.append
-    for field in header:
+    for field in header + (message.payload,):
         _write_value(put, field, 0)
     return b"".join(chunks)
 
@@ -469,7 +471,7 @@ def decode_message(payload: bytes) -> Message:
         raise CodecError(f"malformed value on the wire: {exc}") from exc
     if pos != len(view):
         raise CodecError(f"{len(view) - pos} trailing bytes after the payload")
-    _check_header(*header)
     kind, sender, message_id, traceparent, body = header
+    _check_header(kind, sender, message_id, traceparent)
     return Message(kind=kind, sender=sender, payload=body,
                    message_id=message_id, traceparent=traceparent)

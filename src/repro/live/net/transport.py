@@ -34,7 +34,7 @@ Differences from the baseline, all deliberate:
 from __future__ import annotations
 
 import asyncio
-from typing import Optional, Set
+from typing import Set
 
 from repro.live.net.codec import CodecError, decode_message, encode_message
 from repro.live.net.framing import DEFAULT_MAX_FRAME, encode_frame
@@ -46,6 +46,7 @@ from repro.live.transport import (
     Message,
     SendResult,
     TransportBase,
+    well_formed,
 )
 
 #: Bound on each node's inbound mailbox; the tail of the backpressure
@@ -116,10 +117,16 @@ class SocketTransport(TransportBase):
     # ------------------------------------------------------------------ #
 
     async def _deliver(self, address: int, payload: bytes) -> None:
-        """Decode one inbound frame payload into *address*'s mailbox."""
+        """Decode one inbound frame payload into *address*'s mailbox.
+
+        The edge: a frame that does not decode, or decodes to a message
+        outside :data:`~repro.live.transport.LIVE_KINDS`, is counted in
+        ``frames_discarded`` and goes no further."""
         try:
             message = decode_message(payload)
         except CodecError:
+            message = None
+        if message is None or not well_formed(message, self._mailboxes):
             self.frames_discarded += 1
             self._landed()
             return

@@ -33,6 +33,11 @@ from repro.obs.trace_context import TraceContext
 PENDING_INSERT_TTL = 2.5 * ROUTE_TIMEOUT
 
 
+def _failure(request_id: int, reason: str) -> dict:
+    return {"request_id": request_id, "success": False, "reason": reason,
+            "holders": []}
+
+
 class LiveStorageNode(LiveNode):
     """A live node that also stores replicas."""
 
@@ -54,27 +59,27 @@ class LiveStorageNode(LiveNode):
     # route delivery overrides
     # ------------------------------------------------------------------ #
 
-    async def _forward_route(self, payload: dict) -> None:
+    async def _forward_route(self, payload: dict, parent: Optional[str]) -> None:
         # En-route serving: the first node holding the file answers a
         # lookup immediately (the simulator's forward-hook behaviour).
-        if payload.get("purpose") == "past-lookup":
+        if payload["purpose"] == "past-lookup":
             replica = self.store.get(payload["file_id"])
             if replica is not None and replica.data is not None:
-                await self._serve(payload, replica)
+                await self._serve(payload, replica, parent)
                 return
-        await super()._forward_route(payload)
+        await super()._forward_route(payload, parent)
 
-    async def _deliver_route(self, payload: dict) -> None:
-        purpose = payload.get("purpose")
+    async def _deliver_route(self, payload: dict, header: Optional[str]) -> None:
+        purpose = payload["purpose"]
         if purpose == "past-insert":
-            await self._insert_as_root(payload)
+            await self._insert_as_root(payload, header)
         elif purpose == "past-lookup":
             # Reached the root without finding the file anywhere en route.
-            await self._serve(payload, None)
+            await self._serve(payload, None, header)
         else:
-            await super()._deliver_route(payload)
+            await super()._deliver_route(payload, header)
 
-    async def _serve(self, payload: dict, replica) -> None:
+    async def _serve(self, payload: dict, replica, parent: Optional[str]) -> None:
         """Answer a lookup from this node: with the *replica* a node on
         the route holds, or (``None``, at the root) with not-found."""
         found = replica is not None
@@ -89,8 +94,7 @@ class LiveStorageNode(LiveNode):
                 "serving_node": self.node_id,
             },
             traceparent=self._point_span(
-                payload.get("traceparent"), "serve",
-                found=found, en_route=found, **attributes,
+                parent, "serve", found=found, en_route=found, **attributes,
             ),
         )
         await self._send(payload["client"], result)
@@ -99,10 +103,9 @@ class LiveStorageNode(LiveNode):
     # insert: root-side fan-out with async ack collection
     # ------------------------------------------------------------------ #
 
-    async def _insert_as_root(self, payload: dict) -> None:
+    async def _insert_as_root(self, payload: dict, parent: Optional[str]) -> None:
         request_id = payload["request_id"]
         obs = self.cluster.obs
-        parent = payload.get("traceparent")
         tracing = obs.enabled and parent is not None
         completed = self._completed_inserts.get(request_id)
         if completed is None:
@@ -110,14 +113,9 @@ class LiveStorageNode(LiveNode):
         if completed is not None:
             # Client retry after we finished: the original result was
             # lost; replay it instead of re-running the insert.
-            result = Message(
-                kind="insert-result", sender=self.node_id, payload=completed,
-                traceparent=self._point_span(
-                    parent, "replay-result",
-                    success=bool(completed.get("success")),
-                ),
-            )
-            await self._send(payload["client"], result)
+            await self._send_result(payload["client"], completed, self._point_span(
+                parent, "replay-result", success=completed["success"],
+            ))
             return
         pending = self._pending_inserts.get(request_id)
         if pending is not None:
@@ -147,11 +145,13 @@ class LiveStorageNode(LiveNode):
             except ValueError:
                 refusal = "bad-k"
         if refusal is not None:
+            header = parent
             if tracing:
                 obs.traces.record(ctx, "insert-root", start=start,
                                   node_id=f"{self.node_id:x}", outcome=refusal)
-                payload["traceparent"] = ctx.to_traceparent()
-            await self._insert_failed(payload, refusal)
+                header = ctx.to_traceparent()
+            await self._send_result(payload["client"], _failure(request_id, refusal),
+                                    header)
             return
         pending = {
             "needed": set(replica_ids),
@@ -163,7 +163,7 @@ class LiveStorageNode(LiveNode):
             # The root's insert context: the final insert-result (sent
             # from whichever ack completes the fan-out) stays on this
             # operation's trace.
-            "traceparent": ctx.to_traceparent() if ctx is not None else None,
+            "header": ctx.to_traceparent() if ctx is not None else None,
             "expiry": asyncio.get_running_loop().call_later(
                 PENDING_INSERT_TTL, self._expire_pending_insert, request_id
             ),
@@ -174,11 +174,11 @@ class LiveStorageNode(LiveNode):
                 stored = self._store_locally(certificate, payload["data"])
                 if stored:
                     pending["stored"].add(self.node_id)
-                self._point_span(pending["traceparent"], "store",
+                self._point_span(pending["header"], "store",
                                  ok=stored, local=True)
             else:
                 await self._send_store_request(
-                    replica_id, pending, pending["traceparent"]
+                    replica_id, pending, pending["header"]
                 )
         if tracing:
             obs.traces.record(
@@ -274,32 +274,21 @@ class LiveStorageNode(LiveNode):
         if pending is None:
             return
         if pending["stored"] >= pending["needed"]:
-            self._retire_pending(request_id, pending)
             result = {
                 "request_id": request_id,
                 "success": True,
                 "holders": sorted(pending["stored"]),
             }
-            self._remember_result(request_id, result)
-            await self._send(
-                pending["client"],
-                Message(kind="insert-result", sender=self.node_id,
-                        payload=result,
-                        traceparent=pending.get("traceparent")),
-            )
         elif pending["needed"] - pending["stored"] and \
                 len(pending["needed"]) < pending["certificate"].replication_factor:
             # Someone refused: the insert cannot reach k replicas.
-            self._retire_pending(request_id, pending)
-            self._remember_result(request_id, {
-                "request_id": request_id, "success": False,
-                "reason": "refused", "holders": [],
-            })
-            await self._insert_failed(
-                {"client": pending["client"], "request_id": request_id,
-                 "traceparent": pending.get("traceparent")},
-                "refused",
-            )
+            result = _failure(request_id, "refused")
+        else:
+            return
+        del self._pending_inserts[request_id]
+        pending["expiry"].cancel()
+        self._remember_result(request_id, result)
+        await self._send_result(pending["client"], result, pending["header"])
 
     def _remember_result(self, request_id: int, result: dict) -> None:
         """Keep a completed insert's *result* for replay to its retries.
@@ -318,23 +307,10 @@ class LiveStorageNode(LiveNode):
             self._completed_since = now
         self._completed_inserts[request_id] = result
 
-    def _retire_pending(self, request_id: int, pending: dict) -> None:
-        del self._pending_inserts[request_id]
-        expiry = pending.get("expiry")
-        if expiry is not None:
-            expiry.cancel()
-
-    async def _insert_failed(self, payload: dict, reason: str) -> None:
-        await self._send(
-            payload["client"],
-            Message(
-                kind="insert-result",
-                sender=self.node_id,
-                payload={"request_id": payload["request_id"],
-                         "success": False, "reason": reason, "holders": []},
-                traceparent=payload.get("traceparent"),
-            ),
-        )
+    async def _send_result(self, client: int, result: dict,
+                           header: Optional[str]) -> None:
+        await self._send(client, Message(kind="insert-result", sender=self.node_id,
+                                         payload=result, traceparent=header))
 
     async def _on_insert_result(self, message: Message) -> None:
         self.cluster._resolve(message.payload["request_id"], message.payload)

@@ -39,6 +39,10 @@ injects on a traced message.  When a ``CostLedger`` is attached every
 send is charged -- the in-process transport prices by the wire-size
 model (real payload bytes for data-bearing messages), the socket
 transport by the *actual* encoded frame length.
+
+:data:`LIVE_KINDS` is the one statement of what each live message
+carries; the socket transport refuses, at its edge, every decoded frame
+that does not fit it (:func:`well_formed`).
 """
 
 from __future__ import annotations
@@ -46,11 +50,15 @@ from __future__ import annotations
 import asyncio
 import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Container, Dict, NamedTuple, Optional, Set, Tuple
 
+from repro.core.certificates import FileCertificate
+from repro.core.files import RealData, SyntheticData
+from repro.core.ids import SALT_BITS
+from repro.crypto.hashing import FILE_ID_BITS, NODE_ID_BITS
 from repro.netsim.latency import LatencyModel
 from repro.obs.cost_model import ID_BYTES, WIRE_HEADER_BYTES
-from repro.obs.trace_context import TraceCollector, TraceContext
+from repro.obs.trace_context import TraceCollector, TraceContext, traceparent_fields
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.faults.plan import MessageFault
@@ -103,7 +111,13 @@ RESULT_TIMEOUT = SendResult(SEND_TIMEOUT)
 
 @dataclass
 class Message:
-    """One message on the wire."""
+    """One message on the wire.
+
+    The payload is a value: no node changes it after sending, so a
+    message delivered twice reads the same both times.  What each kind
+    carries is written once, in :data:`LIVE_KINDS`; the trace context
+    travels only in the ``traceparent`` header, never in the payload.
+    """
 
     kind: str
     sender: int
@@ -126,6 +140,218 @@ class Message:
         if self.payload and "data" in self.payload:
             return WIRE_HEADER_BYTES + ID_BYTES
         return model.bytes_of(self.kind)
+
+
+# ---------------------------------------------------------------------- #
+# the live kinds: what each message may carry, checked at the socket edge
+# ---------------------------------------------------------------------- #
+
+#: A field type: ``fits(value, registered)``, where *registered* holds
+#: every address with a mailbox.  Types are exact (a bool is no int).
+Field = Callable[[Any, Container], bool]
+
+
+def _typed(cls: type) -> Field:
+    def fits(value: Any, registered: Container) -> bool:
+        return type(value) is cls
+    return fits
+
+
+def _below(limit: int) -> Field:
+    def fits(value: Any, registered: Container) -> bool:
+        return type(value) is int and 0 <= value < limit
+    return fits
+
+
+def _list_of(item: Field) -> Field:
+    def fits(value: Any, registered: Container) -> bool:
+        if type(value) is not list:
+            return False
+        for entry in value:
+            if not item(entry, registered):
+                return False
+        return True
+    return fits
+
+
+def _maybe(field: Field) -> Field:
+    def fits(value: Any, registered: Container) -> bool:
+        return value is None or field(value, registered)
+    return fits
+
+
+def _number_in(low: float, high: float) -> Field:
+    def fits(value: Any, registered: Container) -> bool:
+        return type(value) in (int, float) and low <= value <= high
+    return fits
+
+
+BOOL, STR, DICT = _typed(bool), _typed(str), _typed(dict)
+_ID_LIMIT = 1 << NODE_ID_BITS
+#: A routed key; node ids share its 128-bit space.
+ID = _below(_ID_LIMIT)
+#: FileIds and content hashes: 160 bits.
+FILE_ID = _below(1 << FILE_ID_BITS)
+#: A telemetry instant and window width, bounded so that the window
+#: index ``instant / window`` is a finite float.
+INSTANT = _number_in(0, 1 << 32)
+WINDOW = _number_in(2.0 ** -32, 1 << 32)
+
+
+def INT(value: Any, registered: Container) -> bool:
+    """At most 64 bits either side of zero, so ``str()`` of it (seeds,
+    signed fields, span exports) never meets the digit limit."""
+    return type(value) is int and -(1 << 64) < value < 1 << 64
+
+
+def NODE(value: Any, registered: Container) -> bool:
+    """A node id: in the id space and naming a registered address, so
+    the topology can measure its distance."""
+    return type(value) is int and 0 <= value < _ID_LIMIT and value in registered
+
+
+def ADDRESS(value: Any, registered: Container) -> bool:
+    """Any registered address; a collector's lies outside the id space."""
+    return type(value) is int and value in registered
+
+
+NODES = _list_of(NODE)
+_CELLS = _list_of(_maybe(NODE))
+
+
+def ROW(value: Any, registered: Container) -> bool:
+    """One routing-table row a join route collected: ``[index, cells]``."""
+    return (type(value) is list and len(value) == 2 and type(value[0]) is int
+            and _CELLS(value[1], registered))
+
+
+ROWS = _list_of(ROW)
+
+
+def DATA(value: Any, registered: Container) -> bool:
+    """File content whose hash can be taken: raw bytes, or a synthetic
+    description with a 128-bit seed and a 64-bit size."""
+    if type(value) is SyntheticData:
+        return 0 <= value.seed < 1 << 128 and value.size < 1 << 64
+    return type(value) is RealData
+
+
+class Schema(NamedTuple):
+    """A payload's fields: those it must carry, and those it may."""
+
+    required: Dict[str, Field]
+    optional: Dict[str, Field] = {}
+
+    def fits(self, payload: dict, registered: Container) -> bool:
+        present = 0
+        for name, value in payload.items():
+            field = self.required.get(name)
+            if field is None:
+                field = self.optional.get(name)
+                if field is None:
+                    return False
+            else:
+                present += 1
+            if not field(value, registered):
+                return False
+        return present == len(self.required)
+
+
+#: The signed fields of a file certificate's envelope: what
+#: ``FileCertificate`` reads, typed so that ``verify()`` can re-derive
+#: the fileId (the salt must fit its 64 bits) without raising.
+CERTIFICATE_FIELDS = Schema({
+    "name": STR, "file_id": FILE_ID, "content_hash": FILE_ID,
+    "size": _below(1 << 64), "k": INT, "salt": _below(1 << SALT_BITS),
+    "date": INT,
+})
+
+
+def CERTIFICATE(value: Any, registered: Container) -> bool:
+    return (type(value) is FileCertificate
+            and CERTIFICATE_FIELDS.fits(value.envelope.fields, registered))
+
+
+_ROUTE = {"key": ID, "purpose": STR, "trail": NODES}
+_RETRY = {"randomized_seed": INT}
+
+#: What a ``route`` carries, by its ``purpose``.
+ROUTE_PURPOSES: Dict[str, Schema] = {
+    "lookup": Schema({**_ROUTE, "origin": NODE, "request_id": INT}, _RETRY),
+    "join": Schema({**_ROUTE, "origin": NODE, "collect_rows": ROWS,
+                    "contact_neighborhood": NODES}),
+    "past-insert": Schema({**_ROUTE, "client": NODE, "request_id": INT,
+                           "certificate": CERTIFICATE, "data": DATA}, _RETRY),
+    "past-lookup": Schema({**_ROUTE, "client": NODE, "request_id": INT,
+                           "file_id": FILE_ID}, _RETRY),
+}
+
+
+class LiveKind(NamedTuple):
+    """Who may send a kind, and its payload (None: by route purpose)."""
+
+    sender: Field
+    payload: Optional[Schema]
+
+
+_NODE_REPLY = {"request_id": INT, "node": STR}
+
+#: Every live kind, written once.  The socket transport checks each
+#: decoded frame against it (:func:`well_formed`) before any mailbox
+#: sees it, so handlers index payloads without guards.
+LIVE_KINDS: Dict[str, LiveKind] = {
+    "route": LiveKind(NODE, None),
+    "route-result": LiveKind(NODE, Schema(
+        {"request_id": INT, "path": NODES, "key": ID})),
+    "join-request": LiveKind(NODE, Schema({"joiner": NODE})),
+    "join-reply": LiveKind(NODE, Schema(
+        {"leaf_set": NODES, "neighborhood": NODES,
+         "rows": ROWS, "trail": NODES})),
+    "announce": LiveKind(NODE, Schema({})),
+    "leafset-request": LiveKind(NODE, Schema({})),
+    "leafset-reply": LiveKind(NODE, Schema({"members": NODES})),
+    "store-request": LiveKind(NODE, Schema(
+        {"request_id": INT, "certificate": CERTIFICATE, "data": DATA})),
+    "store-ack": LiveKind(NODE, Schema({"request_id": INT, "ok": BOOL})),
+    "insert-result": LiveKind(NODE, Schema(
+        {"request_id": INT, "success": BOOL, "holders": NODES}, {"reason": STR})),
+    "lookup-result": LiveKind(NODE, Schema(
+        {"request_id": INT, "certificate": _maybe(CERTIFICATE),
+         "data": _maybe(DATA), "serving_node": NODE})),
+    "telemetry-scrape": LiveKind(ADDRESS, Schema(
+        {"request_id": INT, "spans": INT})),
+    "telemetry-subscribe": LiveKind(ADDRESS, Schema(
+        {"request_id": INT, "since": _maybe(INT), "window": WINDOW},
+        {"at": INSTANT})),
+    "health-probe": LiveKind(ADDRESS, Schema({"request_id": INT})),
+    "telemetry-snapshot": LiveKind(NODE, Schema(
+        {**_NODE_REPLY, "state": DICT},
+        {"registry": DICT, "ledger": DICT, "spans": _list_of(DICT)})),
+    "telemetry-series": LiveKind(NODE, Schema(_NODE_REPLY, {"series": DICT})),
+    "health-report": LiveKind(NODE, Schema(
+        {**_NODE_REPLY, "healthy": BOOL, "checks": DICT,
+         "mailbox_depth": INT, "mailbox_limit": INT, "in_flight": INT,
+         "resynced_bytes": INT, "send_queue_depth": INT, "pool": DICT,
+         "state": DICT})),
+}
+
+
+def well_formed(message: Message, registered: Container) -> bool:
+    """Whether *message* fits its row of :data:`LIVE_KINDS`: a known
+    kind from an allowed sender, a parseable traceparent (or none), and
+    a payload of exactly the listed fields, each of its type."""
+    row = LIVE_KINDS.get(message.kind)
+    payload = message.payload
+    if (row is None or type(payload) is not dict
+            or not row.sender(message.sender, registered)):
+        return False
+    if message.traceparent is not None and traceparent_fields(message.traceparent) is None:
+        return False
+    schema = row.payload
+    if schema is None:
+        purpose = payload.get("purpose")
+        schema = ROUTE_PURPOSES.get(purpose) if type(purpose) is str else None
+    return schema is not None and schema.fits(payload, registered)
 
 
 class TransportBase:

@@ -8,9 +8,9 @@ ledger taxonomy) and an **estimated serialized size** in bytes.
 
 The estimates are static per-kind costs derived from the field counts of
 the PAST/Pastry protocol messages (section 2 of the paper), not measured
-serializations -- the point of centralising them here is that when real
-wire serialization lands (ROADMAP item 3), only this table changes and
-every ledger, curve fit and claim downstream re-prices automatically.
+serializations.  They price the simulator and the in-process transport;
+over sockets the ledger charges each live message its real frame bytes
+instead (``live/net/``).
 
 Sizing assumptions (documented so the numbers are auditable):
 

@@ -122,7 +122,7 @@ class TelemetryCollector:
                     f"{self.timeout}s"
                 )
             if (reply.kind == reply_kind
-                    and reply.payload.get("request_id") == request_id):
+                    and reply.payload["request_id"] == request_id):
                 return reply.payload
         raise TelemetryError(
             f"{kind} to {node_id:x}: drowned in stale replies"
@@ -139,11 +139,11 @@ class TelemetryCollector:
         payload = await self._request(
             node_id, "telemetry-scrape", {"spans": spans}, "telemetry-snapshot"
         )
-        label = payload.get("node", self.label_of(node_id))
+        label = payload["node"]
         if "registry" in payload:
             self._exports[label] = payload["registry"]
-            self._states[label] = payload.get("state", {})
-            self.ledgers[label] = payload.get("ledger", {})
+            self._states[label] = payload["state"]
+            self.ledgers[label] = payload["ledger"]
             if "spans" in payload:
                 self.spans[label] = payload["spans"]
         self.scrapes += 1
@@ -234,7 +234,7 @@ class TelemetryCollector:
         verdict = await self._request(
             node_id, "health-probe", {}, "health-report"
         )
-        self.health[verdict.get("node", self.label_of(node_id))] = verdict
+        self.health[verdict["node"]] = verdict
         return verdict
 
     async def probe_all(self) -> dict:

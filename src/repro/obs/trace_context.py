@@ -66,6 +66,16 @@ def new_trace_id(rng: random.Random) -> str:
     return f"{rng.getrandbits(128):032x}"
 
 
+def traceparent_fields(header: str) -> Optional[re.Match]:
+    """The fields of a well-formed ``traceparent`` header, or None when
+    it is malformed (wrong field widths, non-hex, all-zero ids)."""
+    match = _TRACEPARENT_RE.match(header)
+    if (match is None or not match["trace_id"].strip("0")
+            or not match["span_id"].strip("0")):
+        return None
+    return match
+
+
 @dataclass(frozen=True)
 class TraceContext:
     """One position in a trace: which trace, which span, whose child."""
@@ -112,19 +122,15 @@ class TraceContext:
     @classmethod
     def from_traceparent(cls, header: str) -> "TraceContext":
         """Parse a ``traceparent`` header; raises ValueError on any
-        malformation (wrong field widths, non-hex, all-zero ids)."""
-        match = _TRACEPARENT_RE.match(header)
+        malformation (see :func:`traceparent_fields`)."""
+        match = traceparent_fields(header)
         if match is None:
             raise ValueError(f"malformed traceparent: {header!r}")
-        trace_id = match.group("trace_id")
-        span_id = match.group("span_id")
-        if set(trace_id) == {"0"} or set(span_id) == {"0"}:
-            raise ValueError(f"all-zero id in traceparent: {header!r}")
         return cls(
-            trace_id=trace_id,
-            span_id=span_id,
+            trace_id=match["trace_id"],
+            span_id=match["span_id"],
             parent_id=None,  # the wire carries position, not ancestry
-            sampled=bool(int(match.group("flags"), 16) & FLAG_SAMPLED),
+            sampled=bool(int(match["flags"], 16) & FLAG_SAMPLED),
         )
 
 

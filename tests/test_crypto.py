@@ -22,7 +22,7 @@ from repro.crypto.keys import (
     KeyPair,
     generate_keypair,
 )
-from repro.crypto.rsa import _is_probable_prime, generate_rsa_keypair
+from repro.crypto.rsa import RsaPublicKey, _is_probable_prime, generate_rsa_keypair
 from repro.crypto.signatures import SignedEnvelope, canonical_bytes, sign_fields, verify_fields
 
 
@@ -106,6 +106,12 @@ class TestRsa:
         priv, pub = generate_rsa_keypair(256, random.Random(1))
         assert not pub.verify(b"message", 0)
         assert not pub.verify(b"message", pub.n)
+
+    def test_verify_with_a_nonsense_exponent_is_false_not_an_error(self):
+        """A public key decoded off the wire: with a negative exponent
+        ``pow`` would raise for a signature sharing a factor with n."""
+        assert not RsaPublicKey(n=15, e=-1).verify(b"message", 6)
+        assert not RsaPublicKey(n=15, e=0).verify(b"message", 7)
 
     def test_wrong_key_rejects(self):
         priv_a, _ = generate_rsa_keypair(256, random.Random(1))

@@ -190,3 +190,29 @@ class TestLiveCluster:
 
         with pytest.raises(ValueError):
             run(scenario())
+
+    def test_handler_bug_fails_loudly(self):
+        """Messages are checked once, at the socket edge; inside, a
+        handler that raises is a bug.  It ends the node task, and
+        ``shutdown()`` re-raises it -- no catch-all turns it into a
+        counter tick and a client timeout."""
+
+        async def scenario():
+            cluster = LiveCluster(seed=37)
+            await cluster.start(4)
+            victim, peer = cluster.live_ids()[:2]
+            node = cluster.nodes[victim]
+
+            async def broken(message):
+                raise KeyError("planted")
+
+            node._on_announce = broken
+            await cluster.transport.send(
+                victim, Message(kind="announce", sender=peer)
+            )
+            done, _ = await asyncio.wait({node._task}, timeout=2.0)
+            assert done, "the handler's KeyError must end the node task"
+            await cluster.shutdown()
+
+        with pytest.raises(KeyError, match="planted"):
+            run(scenario())

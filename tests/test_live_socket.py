@@ -22,7 +22,7 @@ from repro.core.files import RealData, SyntheticData
 from repro.core.smartcard import make_uncertified_card
 from repro.faults.plan import FaultPlan
 from repro.faults.policy import RetryPolicy
-from repro.live import Message
+from repro.live import LiveCluster, Message
 from repro.live.net import SocketTransport, encode_message
 from repro.live.net.codec import WIRE_VERSION
 from repro.live.net.framing import encode_frame
@@ -206,7 +206,8 @@ class TestTypedSendResults:
             transport.register(1)
             transport.register(2)
             result = await transport.send(
-                2, Message(kind="ping", sender=1, payload={"n": 7})
+                2, Message(kind="store-ack", sender=1,
+                           payload={"request_id": 7, "ok": True})
             )
             received = await transport.receive(2, timeout=2.0)
             await transport.aclose()
@@ -214,8 +215,8 @@ class TestTypedSendResults:
 
         result, received = run(scenario())
         assert result.status == "delivered"
-        assert received.kind == "ping"
-        assert received.payload == {"n": 7}
+        assert received.kind == "store-ack"
+        assert received.payload == {"request_id": 7, "ok": True}
 
     def test_dead_and_unknown_are_peer_dead(self):
         async def scenario():
@@ -244,8 +245,10 @@ class TestTypedSendResults:
             )
             transport.register(1)
             transport.register(2)
-            big = Message(kind="blob", sender=1,
-                          payload={"data": RealData(b"x" * 262_144)})
+            big = Message(kind="lookup-result", sender=1, payload={
+                "request_id": 1, "certificate": None,
+                "data": RealData(b"x" * 262_144), "serving_node": 1,
+            })
             for attempt in range(64):
                 result = await transport.send(2, big)
                 if result.timed_out:
@@ -283,7 +286,7 @@ class TestTypedSendResults:
             transport.ledger = CostLedger()
             transport.register(1)
             transport.register(2)
-            await transport.send(2, Message(kind="ping", sender=1))
+            await transport.send(2, Message(kind="announce", sender=1))
             first = await transport.receive(2, timeout=2.0)
             second = await transport.receive(2, timeout=2.0)
             charged = transport.ledger.total_bytes()
@@ -299,10 +302,13 @@ class TestTypedSendResults:
 
 async def _foreign_frame_cluster(payload):
     """Boot a 4-node socket cluster and have a TCP client that is not
-    part of it write *payload* as one frame to a node's listener;
-    returns the cluster, that node's id and the client's writer."""
+    part of it write *payload* (bytes, or a function of the cluster
+    giving them) as one frame to a node's listener; returns the
+    cluster, that node's id and the client's writer."""
     cluster = LiveStorageCluster(seed=31, transport=SocketTransport())
     await cluster.start(4, join_concurrency=1)
+    if callable(payload):
+        payload = payload(cluster)
     victim = cluster.live_ids()[0]
     host, port = await cluster.transport._pool.resolve(victim)
     _, writer = await asyncio.open_connection(host, port)
@@ -372,15 +378,15 @@ class TestClusterLifecycleOverSockets:
         assert run(scenario()) == 0
 
     def test_foreign_stop_frame_does_not_stop_a_node(self):
-        """Shutdown is local-only: a well-formed ``stop`` message written
-        by a foreign TCP peer is just an unknown kind -- counted, not
-        obeyed -- and the node goes on serving routes.  Nor may a frame
-        this transport never enqueued unbalance its in-flight count:
-        that would leave ``idle()`` false and ``_quiesce()`` spinning."""
+        """Shutdown is local-only: a ``stop`` message written by a
+        foreign TCP peer names no kind in the table, so the edge discards
+        it, and the node goes on serving routes.  Nor may a frame this
+        transport never enqueued unbalance its in-flight count: that
+        would leave ``idle()`` false and ``_quiesce()`` spinning."""
         stop = encode_message(Message(kind="stop", sender=0))
-        after = run(_after_foreign_frame(stop, lambda seen: seen["unknown"]))
+        after = run(_after_foreign_frame(stop, lambda seen: seen["discarded"]))
         assert after == {
-            "unknown": 1, "discarded": 0, "in_flight": 0, "idle": True,
+            "unknown": 0, "discarded": 1, "in_flight": 0, "idle": True,
             "quiesced": True, "still_running": True, "routed": True,
         }
 
@@ -405,25 +411,67 @@ class TestClusterLifecycleOverSockets:
 
     def test_foreign_frame_missing_a_field_is_counted_not_fatal(self):
         """A well-typed ``route`` frame with an empty payload decodes
-        fine, then fails in the handler: it used to end the node task
-        with ``KeyError('key')``, which ``shutdown()`` re-raised.  Now
-        it is counted as malformed and the node keeps routing."""
+        fine, but fits no route purpose in the kind table: the edge
+        discards it, so no handler sees it (it used to end the node task
+        with ``KeyError('key')``, which ``shutdown()`` re-raised)."""
+        frame = encode_message(Message(kind="route", sender=1, payload={}))
+        after = run(_after_foreign_frame(frame, lambda seen: seen["discarded"]))
+        assert after == {
+            "unknown": 0, "discarded": 1, "in_flight": 0, "idle": True,
+            "quiesced": True, "still_running": True, "routed": True,
+        }
 
-        async def scenario():
-            frame = encode_message(Message(kind="route", sender=1, payload={}))
-            cluster, victim, writer = await _foreign_frame_cluster(frame)
-            malformed = cluster.obs.metrics.counter("live.messages.malformed")
-            for _ in range(200):
-                if malformed.value:
-                    break
-                await asyncio.sleep(0.01)
-            writer.close()
-            running = not cluster.nodes[victim]._task.done()
-            routed = await _routes_to_root(cluster, victim)
-            await asyncio.wait_for(cluster.shutdown(), 5.0)  # must not raise
-            return malformed.value, running, routed
+    @pytest.mark.parametrize("kind, payload, sender", [
+        ("leafset-reply", {"members": [-5]}, None),
+        ("leafset-reply", {"members": [2 ** 140]}, None),
+        ("leafset-reply", {"members": ["x"]}, None),
+        # Sender 1 is no registered address: learning it used to raise
+        # KeyError in topology.distance.
+        ("announce", {}, 1),
+    ], ids=["negative-id", "id-past-128-bits", "str-id", "unregistered-sender"])
+    def test_foreign_frame_outside_the_kind_table_is_discarded(
+            self, kind, payload, sender):
+        """Frames that decode but break the kind table -- each of these
+        used to reach a handler and raise there -- are discarded at the
+        edge, and the node keeps routing.  A *sender* of None names a
+        node of the cluster."""
 
-        assert run(scenario()) == (1, True, True)
+        def frame(cluster):
+            return encode_message(Message(
+                kind=kind, payload=payload,
+                sender=cluster.live_ids()[1] if sender is None else sender))
+
+        after = run(_after_foreign_frame(frame, lambda seen: seen["discarded"]))
+        assert after == {
+            "unknown": 0, "discarded": 1, "in_flight": 0, "idle": True,
+            "quiesced": True, "still_running": True, "routed": True,
+        }
+
+    def test_duplicated_route_takes_the_same_path_over_both_transports(self):
+        """The in-process transport hands both copies of a duplicated
+        message over as the *same* object.  Routing used to append to
+        that shared trail, so a duplicate saw the first copy's hop
+        (14 of these 30 paths repeated a node in-process, none over
+        sockets).  Payloads are values now: both transports agree."""
+
+        async def paths(transport):
+            cluster = LiveCluster(seed=3, transport=transport)
+            await cluster.start(12, join_concurrency=1)
+            cluster.transport.faults = FaultPlan(seed=2, duplicate_rate=0.5)
+            rng = random.Random(9)
+            ids = cluster.live_ids()
+            found = []
+            for _ in range(30):
+                key = cluster.space.random_id(rng)
+                found.append(await cluster.route(key, rng.choice(ids)))
+            cluster.transport.faults = None
+            await cluster.shutdown()
+            return found
+
+        in_process = run(paths(None))
+        over_sockets = run(paths(SocketTransport()))
+        assert all(len(set(path)) == len(path) for path in in_process)
+        assert in_process == over_sockets
 
     def test_concurrent_client_load(self):
         """Many interleaved inserts+lookups over real sockets resolve
