@@ -1,66 +1,61 @@
-"""Binary codec for live-layer messages (wire format version 1).
+"""Binary codec for live-layer messages (wire format version 2).
 
 The in-process transport hands :class:`~repro.live.transport.Message`
-objects across by reference, so payloads could carry anything.  The wire
-cannot: everything must serialize.  One frame payload is::
+objects across by reference; the wire carries bytes, and both ends know
+:data:`~repro.live.transport.LIVE_KINDS`, so no frame spells out what
+the receiver already knows.  One frame payload is::
 
-    version (1 byte) | kind | sender | message_id | traceparent | payload
+    version | shape id | sender | message_id | traceparent | fields
 
-where each of the five header fields is one *tagged value*: a tag byte
-followed by that tag's body (every length and count is a 4-byte
-big-endian unsigned int; ``docs/PROTOCOLS.md`` has the byte-level table).
+* **version** -- one byte, :data:`WIRE_VERSION`; any other is refused.
+* **shape id** -- one byte numbering the message's *shape*: each
+  non-route kind, and each route purpose, in table order
+  (:data:`SHAPES`).  It implies the kind, the purpose and every field.
+* **sender** -- 16 raw bytes where the kind's sender is a ``NODE``; a
+  length-prefixed int for the three telemetry requests, whose sender is
+  any ``ADDRESS`` (a collector lives outside the 128-bit id space).
+* **message_id** -- an unsigned varint.
+* **traceparent** -- a presence byte, then the header's 26-byte binary
+  W3C form (version, trace id, span id, flags), which gives back the
+  exact lowercase-hex string.
+* **fields** -- the shape's payload fields in schema order: no key
+  strings, no tags, no dict header.  A shape with optional fields adds
+  one presence byte (bit *i*: the *i*-th optional field follows).
 
-====  ===================  ==============================================
-tag   value                body
-====  ===================  ==============================================
-0x00  ``None``             --
-0x01  ``False``            --
-0x02  ``True``             --
-0x03  int in int64 range   8 bytes, signed
-0x04  any other int        length + signed bytes (ids, signatures: exact)
-0x05  float                8 bytes, IEEE 754
-0x06  str                  length + UTF-8
-0x07  bytes                length + raw bytes
-0x08  list (and tuple)     count + values
-0x09  str-keyed dict       count + (key as a str body, value) pairs
-0x10  ``SyntheticData``    seed, size -- the description, not the bytes
-0x11  ``RealData``         length + raw bytes
-0x12  fast ``PublicKey``   length + secret
-0x13  RSA ``PublicKey``    n, e
-0x14  ``SignedEnvelope``   kind, fields, signer, signature
-0x15  ``FileCertificate``  envelope
-====  ===================  ==============================================
+Each field's bytes are its *form*, which the table names for every field
+type (``Field.form``); composite forms (``list``, ``maybe``, ``pair``)
+carry their element types.  :data:`FIELD_FORMS` maps each form name to
+its writer and reader, and every shape's writer and reader is derived
+from the table once, at import -- there is no second field list here.
+A varint is LEB128, at most :data:`VARINT_BYTES` bytes (70 bits); an
+``int`` field is zigzag-mapped first.  ``docs/PROTOCOLS.md`` has the
+byte-level tables.
 
-:data:`WIRE_FORMS` is that table as code, and the only place a tag is
-tied to a type: the encode dispatch (by ``type``) and the decode
-dispatch (by tag byte) are both built from it, so a tag one side knows
-and the other does not cannot be written down.
+``DICT`` fields (the telemetry replies) and the telemetry ``INSTANT`` and
+``WINDOW`` carry open-ended values, written in the *tagged value
+grammar* of :data:`WIRE_FORMS` (a tag byte, then that tag's body; every
+length and count there a 4-byte big-endian unsigned int).
 
-Anything outside the table raises :class:`CodecError` at *encode* time
--- a new protocol message with an unserializable payload fails loudly in
-the sender's test, not as a mysterious decode error on the peer.  The
-decoder trusts nothing: every declared length and count is checked
-against the bytes that remain before anything is allocated, nesting is
-capped at :data:`MAX_DEPTH`, the header fields and the fields of domain
-objects are type-checked, trailing bytes are refused, and every such
-refusal is a :class:`CodecError`.  The payload may be any value here:
-what it must hold is the kind table's to say
-(:data:`repro.live.transport.LIVE_KINDS`), checked at the socket edge.
+Encoding is deterministic -- the same message gives the same bytes -- and
+refuses, as :class:`CodecError` in the *sender*, any message whose kind
+or purpose is not in the table, whose payload does not carry exactly its
+shape's fields, or whose values the forms cannot write (a negative id,
+an id past its slot, a bool where an int belongs, a traceparent not in
+the W3C layout).  Anything the forms *can* write is the edge's to judge
+(:func:`~repro.live.transport.well_formed`: registration, ranges, a zero
+trace id).  The decoder trusts nothing: every declared length and count
+is checked against the bytes that remain before anything is allocated,
+a varint longer than :data:`VARINT_BYTES` is refused, nesting inside a
+tagged value is capped at :data:`MAX_DEPTH`, an unknown shape id, form
+byte or tag, bad UTF-8 and trailing bytes are refused, and every such
+refusal is a :class:`CodecError`.
 
-Encoding is deterministic -- the same message gives the same bytes --
-with dict entries in insertion order, so a receiver iterates a payload
-in the order its sender built it, as over the in-process transport.
-
-One normalization is deliberate: **tuples become lists** (the wire has
-one sequence form).  The protocols only use tuples as positional pairs
-that are iterated, never as dict keys or identity-compared values, so
-the normalization is harmless -- and the conformance suite runs the full
-insert/lookup protocol over both transports to prove it.
-
-Note on sizes: a :class:`SyntheticData` payload crosses the wire as its
-(seed, size) *description*, not its materialized bytes -- that is the
-point of synthetic content.  Byte-realistic load (and real-frame ledger
-pricing) therefore uses :class:`RealData`, as the load harness does.
+Decoded payloads list their fields in schema order, not in the order
+the sender built them; inside a tagged value, dict entries keep the
+sender's order.  Tuples travel as lists (the wire has one sequence
+form).  A :class:`SyntheticData` payload crosses the wire as its (seed,
+size) *description*, not its materialized bytes, so byte-realistic load
+(and real-frame ledger pricing) uses :class:`RealData`.
 """
 
 from __future__ import annotations
@@ -69,56 +64,117 @@ import operator
 import struct
 from typing import Any, Callable, Dict, NamedTuple, Optional, Tuple
 
-from repro.core.certificates import FileCertificate
+from repro.core.certificates import FILE_CERT_KIND, FileCertificate
 from repro.core.files import RealData, SyntheticData
 from repro.crypto.keys import PublicKey, _FastPublicKey
 from repro.crypto.rsa import RsaPublicKey
 from repro.crypto.signatures import SignedEnvelope
-from repro.live.transport import Message
+from repro.live.transport import (
+    CERTIFICATE_FIELDS,
+    LIVE_KINDS,
+    ROUTE_PURPOSES,
+    Field,
+    Message,
+    Schema,
+)
 
-#: First byte of every payload: a peer speaking another version, or
-#: another format altogether (a JSON document opens with ``{``), is
-#: refused on it.
-WIRE_VERSION = 1
-#: Containers and domain objects may nest this deep below a header
-#: field; the deepest payload tier-1 ships (a telemetry snapshot) uses 6.
+#: First byte of every payload: a peer speaking another version (or
+#: another format altogether) is refused on it.
+WIRE_VERSION = 2
+#: A tagged value may nest this deep inside its field; the deepest
+#: telemetry reply tier-1 ships uses 5.
 MAX_DEPTH = 32
+#: Longest varint: ten 7-bit groups, so 70 bits.
+VARINT_BYTES = 10
+_VARINT_LIMIT = 1 << (7 * VARINT_BYTES)
+#: Form bytes: which kind of file content, which signer backend.
+SYNTHETIC, REAL, FAST_KEY, RSA_KEY = 0x10, 0x11, 0x12, 0x13
+_TRACEPARENT_BYTES = 26
 
 _U32 = struct.Struct(">I")
 _I64 = struct.Struct(">q")
 _F64 = struct.Struct(">d")
 
-Put = Callable[[bytes], None]
-Write = Callable[[Put, Any, int], None]
-Read = Callable[[memoryview, int, int], Tuple[Any, int]]
+Write = Callable[[bytearray, Any], None]
+Read = Callable[[bytes, int], Tuple[Any, int]]
 
 
 class CodecError(ValueError):
     """A value cannot be encoded, or a frame cannot be decoded."""
 
 
-def _check_header(kind: Any, sender: Any, message_id: Any,
-                  traceparent: Any) -> None:
-    """The typed header, enforced on both sides of the wire.  What the
-    payload must hold is the kind table's business
-    (:func:`repro.live.transport.well_formed`), checked at the edge."""
-    if not (isinstance(kind, str) and isinstance(sender, int)
-            and isinstance(message_id, int)
-            and (traceparent is None or isinstance(traceparent, str))):
+def _refuse(form: str, value: Any) -> None:
+    raise CodecError(f"a {form} field cannot carry {type(value).__name__} "
+                     f"{repr(value)[:40]}")
+
+
+# ---------------------------------------------------------------------- #
+# varints and byte runs
+# ---------------------------------------------------------------------- #
+
+
+def _put_varint(out: bytearray, value: int) -> None:
+    """LEB128 of a non-negative int the caller has bounded."""
+    while value >= 0x80:
+        out.append(value & 0x7F | 0x80)
+        value >>= 7
+    out.append(value)
+
+
+def _take_varint(data: bytes, pos: int) -> Tuple[int, int]:
+    byte = data[pos]
+    if byte < 0x80:
+        return byte, pos + 1
+    value = byte & 0x7F
+    shift = 7
+    for index in range(pos + 1, pos + VARINT_BYTES):
+        byte = data[index]
+        value |= (byte & 0x7F) << shift
+        if byte < 0x80:
+            return value, index + 1
+        shift += 7
+    raise CodecError(f"varint longer than {VARINT_BYTES} bytes at byte {pos}")
+
+
+def _take_span(data: bytes, pos: int) -> Tuple[int, int]:
+    """``(start, end)`` of a length-prefixed run of bytes, refused
+    before it is sliced unless the bytes that remain hold all of it."""
+    length, start = _take_varint(data, pos)
+    end = start + length
+    if end > len(data):
         raise CodecError(
-            "message header must be (kind str, sender int, message_id int, "
-            "traceparent str|None), got "
-            + ", ".join(type(field).__name__ for field in
-                        (kind, sender, message_id, traceparent))
+            f"{length} bytes declared at byte {pos}, {len(data) - start} remain"
         )
+    return start, end
+
+
+def _take_count(data: bytes, pos: int, least: int) -> Tuple[int, int]:
+    """A declared element count, each element at least *least* bytes
+    long: refused here, before anything is allocated, unless the bytes
+    that remain could hold that many."""
+    count, start = _take_varint(data, pos)
+    if count * least > len(data) - start:
+        raise CodecError(
+            f"{count} elements declared at byte {pos}, "
+            f"{len(data) - start} bytes remain"
+        )
+    return count, start
+
+
+def _put_run(out: bytearray, raw: bytes) -> None:
+    _put_varint(out, len(raw))
+    out += raw
 
 
 # ---------------------------------------------------------------------- #
-# encode side: write(put, value, depth) appends the body after the tag
+# the tagged value grammar (DICT, INSTANT and WINDOW fields)
 # ---------------------------------------------------------------------- #
 
+GrammarWrite = Callable[[bytearray, Any, int], None]
+GrammarRead = Callable[[bytes, int, int], Tuple[Any, int]]
 
-def _write_value(put: Put, value: Any, depth: int) -> None:
+
+def _write_value(out: bytearray, value: Any, depth: int) -> None:
     if depth > MAX_DEPTH:
         raise CodecError(f"value nests deeper than {MAX_DEPTH} levels")
     forms = _FORMS_OF.get(type(value))
@@ -126,8 +182,8 @@ def _write_value(put: Put, value: Any, depth: int) -> None:
         forms = _inherited_forms(type(value))
     for tag, fits, write in forms:
         if fits is None or fits(value):
-            put(tag)
-            write(put, value, depth)
+            out.append(tag)
+            write(out, value, depth)
             return
     raise CodecError(f"no wire form fits this {type(value).__name__}")
 
@@ -141,258 +197,153 @@ def _inherited_forms(cls: type) -> tuple:
     raise CodecError(f"cannot serialize {cls.__name__} on the wire")
 
 
-def _write_nothing(put: Put, value: Any, depth: int) -> None:
+def _write_nothing(out: bytearray, value: Any, depth: int) -> None:
     pass
 
 
-def _write_int64(put: Put, value: int, depth: int) -> None:
-    put(_I64.pack(value))
+def _write_int64(out: bytearray, value: int, depth: int) -> None:
+    out += _I64.pack(value)
 
 
-def _write_bigint(put: Put, value: int, depth: int) -> None:
+def _write_bigint(out: bytearray, value: int, depth: int) -> None:
     # +8, not +7: a signed form needs room for the sign bit.
-    _write_raw(put, value.to_bytes((value.bit_length() + 8) // 8, "big",
+    _write_raw(out, value.to_bytes((value.bit_length() + 8) // 8, "big",
                                    signed=True), depth)
 
 
-def _write_float(put: Put, value: float, depth: int) -> None:
-    put(_F64.pack(value))
+def _write_float(out: bytearray, value: float, depth: int) -> None:
+    out += _F64.pack(value)
 
 
-def _write_str(put: Put, value: str, depth: int) -> None:
-    _write_raw(put, value.encode("utf-8"), depth)
+def _write_str(out: bytearray, value: str, depth: int) -> None:
+    _write_raw(out, value.encode("utf-8"), depth)
 
 
-def _write_raw(put: Put, value: bytes, depth: int) -> None:
-    put(_U32.pack(len(value)))
-    put(value)
+def _write_raw(out: bytearray, value: bytes, depth: int) -> None:
+    out += _U32.pack(len(value))
+    out += value
 
 
-def _write_list(put: Put, value: Any, depth: int) -> None:
-    put(_U32.pack(len(value)))
+def _write_list(out: bytearray, value: Any, depth: int) -> None:
+    out += _U32.pack(len(value))
     for item in value:
-        _write_value(put, item, depth + 1)
+        _write_value(out, item, depth + 1)
 
 
-def _write_dict(put: Put, value: dict, depth: int) -> None:
-    put(_U32.pack(len(value)))
+def _write_dict(out: bytearray, value: dict, depth: int) -> None:
+    out += _U32.pack(len(value))
     for key, item in value.items():
         if not isinstance(key, str):
             raise CodecError(f"non-string dict key on the wire: {key!r}")
-        _write_str(put, key, depth)
-        _write_value(put, item, depth + 1)
+        _write_str(out, key, depth)
+        _write_value(out, item, depth + 1)
 
 
-def _write_synthetic(put: Put, value: SyntheticData, depth: int) -> None:
-    _write_value(put, value.seed, depth + 1)
-    _write_value(put, value.size, depth + 1)
-
-
-def _write_real(put: Put, value: RealData, depth: int) -> None:
-    _write_raw(put, value.to_bytes(), depth)
-
-
-def _write_fast_key(put: Put, value: PublicKey, depth: int) -> None:
-    _write_raw(put, value._impl.secret, depth)
-
-
-def _write_rsa_key(put: Put, value: PublicKey, depth: int) -> None:
-    _write_value(put, value._impl.n, depth + 1)
-    _write_value(put, value._impl.e, depth + 1)
-
-
-def _write_envelope(put: Put, value: SignedEnvelope, depth: int) -> None:
-    _write_value(put, value.kind, depth + 1)
-    _write_value(put, dict(value.fields), depth + 1)
-    _write_value(put, value.signer, depth + 1)
-    _write_value(put, value.signature, depth + 1)
-
-
-def _write_certificate(put: Put, value: FileCertificate, depth: int) -> None:
-    _write_value(put, value.envelope, depth + 1)
-
-
-# ---------------------------------------------------------------------- #
-# decode side: read(view, pos, depth) -> (value, pos after the body)
-# ---------------------------------------------------------------------- #
-
-
-def _read_value(view: memoryview, pos: int, depth: int) -> Tuple[Any, int]:
+def _read_value(data: bytes, pos: int, depth: int) -> Tuple[Any, int]:
     if depth > MAX_DEPTH:
         raise CodecError(f"value nests deeper than {MAX_DEPTH} levels")
-    if pos >= len(view):
+    if pos >= len(data):
         raise CodecError(f"payload ends where a value should start (byte {pos})")
-    read = _READERS.get(view[pos])
+    read = _READERS.get(data[pos])
     if read is None:
-        raise CodecError(f"unknown wire tag 0x{view[pos]:02x} at byte {pos}")
-    return read(view, pos + 1, depth)
+        raise CodecError(f"unknown wire tag 0x{data[pos]:02x} at byte {pos}")
+    return read(data, pos + 1, depth)
 
 
-def _read_typed(view: memoryview, pos: int, depth: int,
-                expected: type) -> Tuple[Any, int]:
-    """One value that a domain object's field requires to be *expected*."""
-    value, end = _read_value(view, pos, depth)
-    if not isinstance(value, expected):
-        raise CodecError(
-            f"expected {expected.__name__} at byte {pos}, "
-            f"found {type(value).__name__}"
-        )
-    return value, end
-
-
-def _read_fixed(view: memoryview, pos: int,
-                layout: struct.Struct) -> Tuple[Any, int]:
+def _read_fixed(data: bytes, pos: int, layout: struct.Struct) -> Tuple[Any, int]:
     end = pos + layout.size
-    if end > len(view):
+    if end > len(data):
         raise CodecError(
-            f"{layout.size} bytes needed at byte {pos}, {len(view) - pos} remain"
+            f"{layout.size} bytes needed at byte {pos}, {len(data) - pos} remain"
         )
-    return layout.unpack_from(view, pos)[0], end
+    return layout.unpack_from(data, pos)[0], end
 
 
-def _read_count(view: memoryview, pos: int, unit: int) -> Tuple[int, int]:
-    """A declared element count, each element at least *unit* bytes
-    long: refused here, before anything is allocated, unless the bytes
-    that remain could hold that many."""
-    count, start = _read_fixed(view, pos, _U32)
-    if count * unit > len(view) - start:
+def _read_u32_count(data: bytes, pos: int, unit: int) -> Tuple[int, int]:
+    count, start = _read_fixed(data, pos, _U32)
+    if count * unit > len(data) - start:
         raise CodecError(
             f"{count} elements declared at byte {pos}, "
-            f"{len(view) - start} bytes remain"
+            f"{len(data) - start} bytes remain"
         )
     return count, start
 
 
-def _read_span(view: memoryview, pos: int) -> Tuple[int, int]:
-    """``(start, end)`` of a length-prefixed run of bytes, refused
-    before it is sliced unless the bytes that remain hold all of it.
-    (``_read_count`` with a one-byte unit says the same in three calls;
-    as every str, key, id and file passes here, this says it in one:
-    decode is a fifth slower the other way.)"""
+def _read_u32_span(data: bytes, pos: int) -> Tuple[int, int]:
     start = pos + 4
-    if start > len(view):
+    if start > len(data):
         raise CodecError(f"payload ends inside the length at byte {pos}")
-    end = start + _U32.unpack_from(view, pos)[0]
-    if end > len(view):
+    end = start + _U32.unpack_from(data, pos)[0]
+    if end > len(data):
         raise CodecError(
             f"{end - start} bytes declared at byte {pos}, "
-            f"{len(view) - start} remain"
+            f"{len(data) - start} remain"
         )
     return start, end
 
 
-def _constant(value: Any) -> Read:
-    return lambda view, pos, depth: (value, pos)
+def _constant(value: Any) -> GrammarRead:
+    return lambda data, pos, depth: (value, pos)
 
 
-def _read_int64(view: memoryview, pos: int, depth: int) -> Tuple[int, int]:
-    return _read_fixed(view, pos, _I64)
+def _read_int64(data: bytes, pos: int, depth: int) -> Tuple[int, int]:
+    return _read_fixed(data, pos, _I64)
 
 
-def _read_bigint(view: memoryview, pos: int, depth: int) -> Tuple[int, int]:
-    start, end = _read_span(view, pos)
-    return int.from_bytes(view[start:end], "big", signed=True), end
+def _read_bigint(data: bytes, pos: int, depth: int) -> Tuple[int, int]:
+    start, end = _read_u32_span(data, pos)
+    return int.from_bytes(data[start:end], "big", signed=True), end
 
 
-def _read_float(view: memoryview, pos: int, depth: int) -> Tuple[float, int]:
-    return _read_fixed(view, pos, _F64)
+def _read_float(data: bytes, pos: int, depth: int) -> Tuple[float, int]:
+    return _read_fixed(data, pos, _F64)
 
 
-def _read_str(view: memoryview, pos: int, depth: int) -> Tuple[str, int]:
-    start, end = _read_span(view, pos)
-    return str(view[start:end], "utf-8"), end
+def _read_str(data: bytes, pos: int, depth: int) -> Tuple[str, int]:
+    start, end = _read_u32_span(data, pos)
+    return str(data[start:end], "utf-8"), end
 
 
-def _read_raw(view: memoryview, pos: int, depth: int) -> Tuple[bytes, int]:
-    start, end = _read_span(view, pos)
-    return bytes(view[start:end]), end
+def _read_raw(data: bytes, pos: int, depth: int) -> Tuple[bytes, int]:
+    start, end = _read_u32_span(data, pos)
+    return data[start:end], end
 
 
-def _read_list(view: memoryview, pos: int, depth: int) -> Tuple[list, int]:
-    count, pos = _read_count(view, pos, unit=1)  # a value is >= its tag
+def _read_list(data: bytes, pos: int, depth: int) -> Tuple[list, int]:
+    count, pos = _read_u32_count(data, pos, unit=1)  # a value is >= its tag
     items = []
     for _ in range(count):
-        item, pos = _read_value(view, pos, depth + 1)
+        item, pos = _read_value(data, pos, depth + 1)
         items.append(item)
     return items, pos
 
 
-def _read_dict(view: memoryview, pos: int, depth: int) -> Tuple[dict, int]:
-    count, pos = _read_count(view, pos, unit=5)  # key length + value tag
+def _read_dict(data: bytes, pos: int, depth: int) -> Tuple[dict, int]:
+    count, pos = _read_u32_count(data, pos, unit=5)  # key length + value tag
     entries: Dict[str, Any] = {}
     for _ in range(count):
-        start, end = _read_span(view, pos)
-        key = str(view[start:end], "utf-8")
-        entries[key], pos = _read_value(view, end, depth + 1)
+        start, end = _read_u32_span(data, pos)
+        key = str(data[start:end], "utf-8")
+        entries[key], pos = _read_value(data, end, depth + 1)
     if len(entries) != count:
         raise CodecError("dict repeats a key")
     return entries, pos
 
 
-def _read_synthetic(view: memoryview, pos: int,
-                    depth: int) -> Tuple[SyntheticData, int]:
-    seed, pos = _read_typed(view, pos, depth + 1, int)
-    size, pos = _read_typed(view, pos, depth + 1, int)
-    return SyntheticData(seed=seed, size=size), pos
-
-
-def _read_real(view: memoryview, pos: int, depth: int) -> Tuple[RealData, int]:
-    data, pos = _read_raw(view, pos, depth)
-    return RealData(data), pos
-
-
-def _read_fast_key(view: memoryview, pos: int,
-                   depth: int) -> Tuple[PublicKey, int]:
-    secret, pos = _read_raw(view, pos, depth)
-    return PublicKey(_FastPublicKey(secret=secret)), pos
-
-
-def _read_rsa_key(view: memoryview, pos: int,
-                  depth: int) -> Tuple[PublicKey, int]:
-    n, pos = _read_typed(view, pos, depth + 1, int)
-    e, pos = _read_typed(view, pos, depth + 1, int)
-    return PublicKey(RsaPublicKey(n=n, e=e)), pos
-
-
-def _read_envelope(view: memoryview, pos: int,
-                   depth: int) -> Tuple[SignedEnvelope, int]:
-    kind, pos = _read_typed(view, pos, depth + 1, str)
-    fields, pos = _read_typed(view, pos, depth + 1, dict)
-    signer, pos = _read_typed(view, pos, depth + 1, PublicKey)
-    signature, pos = _read_typed(view, pos, depth + 1, int)
-    return SignedEnvelope(kind=kind, fields=fields, signer=signer,
-                          signature=signature), pos
-
-
-def _read_certificate(view: memoryview, pos: int,
-                      depth: int) -> Tuple[FileCertificate, int]:
-    envelope, pos = _read_typed(view, pos, depth + 1, SignedEnvelope)
-    return FileCertificate(envelope=envelope), pos
-
-
-# ---------------------------------------------------------------------- #
-# the wire table
-# ---------------------------------------------------------------------- #
-
-
 class WireForm(NamedTuple):
-    """One row of the wire table: *tag* carries a *type*.  Where one
+    """One row of the tagged grammar: *tag* carries a *type*.  Where one
     type has several forms, the first row (in table order) whose *fits*
     accepts the value is the one written."""
 
     tag: int
     type: type
-    write: Write
-    read: Read
+    write: GrammarWrite
+    read: GrammarRead
     fits: Optional[Callable[[Any], bool]] = None
 
 
 def _in_int64(value: int) -> bool:
     return -0x8000_0000_0000_0000 <= value <= 0x7FFF_FFFF_FFFF_FFFF
-
-
-def _backend(cls: type) -> Callable[[PublicKey], bool]:
-    return lambda key: type(key._impl) is cls
 
 
 WIRE_FORMS: Tuple[WireForm, ...] = (
@@ -406,72 +357,457 @@ WIRE_FORMS: Tuple[WireForm, ...] = (
     WireForm(0x07, bytes, _write_raw, _read_raw),
     WireForm(0x08, list, _write_list, _read_list),
     WireForm(0x09, dict, _write_dict, _read_dict),
-    WireForm(0x10, SyntheticData, _write_synthetic, _read_synthetic),
-    WireForm(0x11, RealData, _write_real, _read_real),
-    WireForm(0x12, PublicKey, _write_fast_key, _read_fast_key,
-             _backend(_FastPublicKey)),
-    WireForm(0x13, PublicKey, _write_rsa_key, _read_rsa_key,
-             _backend(RsaPublicKey)),
-    WireForm(0x14, SignedEnvelope, _write_envelope, _read_envelope),
-    WireForm(0x15, FileCertificate, _write_certificate, _read_certificate),
 )
 
-_READERS: Dict[int, Read] = {form.tag: form.read for form in WIRE_FORMS}
+_READERS: Dict[int, GrammarRead] = {form.tag: form.read for form in WIRE_FORMS}
 if len(_READERS) != len(WIRE_FORMS):
     raise RuntimeError("two rows of WIRE_FORMS share a tag")
 
 _FORMS_OF: Dict[type, tuple] = {}
 for _form in WIRE_FORMS:
     _FORMS_OF[_form.type] = _FORMS_OF.get(_form.type, ()) + (
-        (bytes([_form.tag]), _form.fits, _form.write),
+        (_form.tag, _form.fits, _form.write),
     )
 # Tuples normalise to lists: the wire has one sequence form.
 _FORMS_OF[tuple] = _FORMS_OF[list]
 
 
 # ---------------------------------------------------------------------- #
-# entry points
+# field forms: what each field type of the kind table is on the wire
 # ---------------------------------------------------------------------- #
 
-_HEADER_FIELDS = 5
+
+class Form(NamedTuple):
+    """How one field type travels: *least* is the fewest bytes a value
+    takes, which bounds a declared count before anything is allocated."""
+
+    write: Write
+    read: Read
+    least: int
+
+
+def _fixed_int(width: int, form: str) -> Form:
+    """A non-negative int in *width* raw big-endian bytes (``to_bytes``
+    refuses a negative or wider one: OverflowError)."""
+    def write(out: bytearray, value: Any) -> None:
+        if type(value) is not int:
+            _refuse(form, value)
+        out += value.to_bytes(width, "big")
+
+    def read(data: bytes, pos: int) -> Tuple[int, int]:
+        end = pos + width
+        if end > len(data):
+            raise CodecError(
+                f"{width} bytes needed at byte {pos}, {len(data) - pos} remain")
+        return int.from_bytes(data[pos:end], "big"), end
+
+    return Form(write, read, width)
+
+
+def _write_uint(out: bytearray, value: Any) -> None:
+    if type(value) is not int or not 0 <= value < _VARINT_LIMIT:
+        _refuse("uint", value)
+    _put_varint(out, value)
+
+
+def _write_zigzag(out: bytearray, value: Any) -> None:
+    if type(value) is not int:
+        _refuse("int", value)
+    zigzag = value << 1 if value >= 0 else ~value << 1 | 1
+    if zigzag >= _VARINT_LIMIT:
+        _refuse("int", value)
+    _put_varint(out, zigzag)
+
+
+def _read_zigzag(data: bytes, pos: int) -> Tuple[int, int]:
+    zigzag, pos = _take_varint(data, pos)
+    return zigzag >> 1 ^ -(zigzag & 1), pos
+
+
+def _write_bool(out: bytearray, value: Any) -> None:
+    if type(value) is not bool:
+        _refuse("bool", value)
+    out.append(value)
+
+
+def _read_flag(data: bytes, pos: int) -> Tuple[bool, int]:
+    byte = data[pos]
+    if byte > 1:
+        raise CodecError(f"byte {pos} is 0x{byte:02x}, neither 0 nor 1")
+    return byte == 1, pos + 1
+
+
+def _write_text(out: bytearray, value: Any) -> None:
+    if type(value) is not str:
+        _refuse("str", value)
+    _put_run(out, value.encode("utf-8"))
+
+
+def _read_text(data: bytes, pos: int) -> Tuple[str, int]:
+    start, end = _take_span(data, pos)
+    return str(data[start:end], "utf-8"), end
+
+
+def _write_magnitude(out: bytearray, value: Any) -> None:
+    """A non-negative int of any size: varint byte length, then the
+    big-endian bytes (signatures, RSA moduli, a collector's address)."""
+    if type(value) is not int:
+        _refuse("length-prefixed int", value)
+    _put_run(out, value.to_bytes((value.bit_length() + 7) // 8, "big"))
+
+
+def _read_magnitude(data: bytes, pos: int) -> Tuple[int, int]:
+    start, end = _take_span(data, pos)
+    return int.from_bytes(data[start:end], "big"), end
+
+
+def _write_tagged(out: bytearray, value: Any) -> None:
+    _write_value(out, value, 0)
+
+
+def _read_tagged(data: bytes, pos: int) -> Tuple[Any, int]:
+    return _read_value(data, pos, 0)
+
+
+_ID = _fixed_int(16, "id")
+
+
+def _write_data(out: bytearray, value: Any) -> None:
+    if type(value) is RealData:
+        out.append(REAL)
+        _put_run(out, value.to_bytes())
+    elif type(value) is SyntheticData:
+        out.append(SYNTHETIC)
+        _ID.write(out, value.seed)
+        _write_uint(out, value.size)
+    else:
+        _refuse("data", value)
+
+
+def _read_data(data: bytes, pos: int) -> Tuple[Any, int]:
+    form = data[pos]
+    if form == REAL:
+        start, end = _take_span(data, pos + 1)
+        return RealData(data[start:end]), end
+    if form == SYNTHETIC:
+        seed, pos = _ID.read(data, pos + 1)
+        size, pos = _take_varint(data, pos)
+        return SyntheticData(seed=seed, size=size), pos
+    raise CodecError(f"unknown data form 0x{form:02x} at byte {pos}")
+
+
+def _write_key(out: bytearray, key: Any) -> None:
+    impl = key._impl if type(key) is PublicKey else None
+    if type(impl) is _FastPublicKey and type(impl.secret) is bytes:
+        out.append(FAST_KEY)
+        _put_run(out, impl.secret)
+    elif type(impl) is RsaPublicKey:
+        out.append(RSA_KEY)
+        _write_magnitude(out, impl.n)
+        _write_magnitude(out, impl.e)
+    else:
+        _refuse("signer", key)
+
+
+def _read_key(data: bytes, pos: int) -> Tuple[PublicKey, int]:
+    backend = data[pos]
+    if backend == FAST_KEY:
+        start, end = _take_span(data, pos + 1)
+        return PublicKey(_FastPublicKey(secret=data[start:end])), end
+    if backend == RSA_KEY:
+        n, pos = _read_magnitude(data, pos + 1)
+        e, pos = _read_magnitude(data, pos)
+        return PublicKey(RsaPublicKey(n=n, e=e)), pos
+    raise CodecError(f"unknown signer backend 0x{backend:02x} at byte {pos}")
+
+
+def _certificate_form() -> Form:
+    """The envelope's fields in ``CERTIFICATE_FIELDS`` order, then the
+    signer and the signature; the envelope kind is implied."""
+    fields = tuple((name, form_of(field))
+                   for name, field in CERTIFICATE_FIELDS.required.items())
+
+    def write(out: bytearray, value: Any) -> None:
+        envelope = value.envelope if type(value) is FileCertificate else None
+        if (envelope is None or envelope.kind != FILE_CERT_KIND
+                or len(envelope.fields) != len(fields)):
+            _refuse("certificate", value)
+        signed = envelope.fields
+        for name, form in fields:
+            form.write(out, signed[name])
+        _write_key(out, envelope.signer)
+        _write_magnitude(out, envelope.signature)
+
+    def read(data: bytes, pos: int) -> Tuple[FileCertificate, int]:
+        signed = {}
+        for name, form in fields:
+            signed[name], pos = form.read(data, pos)
+        signer, pos = _read_key(data, pos)
+        signature, pos = _read_magnitude(data, pos)
+        return FileCertificate(SignedEnvelope(
+            kind=FILE_CERT_KIND, fields=signed, signer=signer,
+            signature=signature)), pos
+
+    return Form(write, read, sum(form.least for _, form in fields) + 2)
+
+
+def _list_form(item: Form) -> Form:
+    write_item, read_item, least = item
+
+    def write(out: bytearray, value: Any) -> None:
+        if type(value) is not list and type(value) is not tuple:
+            _refuse("list", value)
+        _put_varint(out, len(value))
+        for entry in value:
+            write_item(out, entry)
+
+    def read(data: bytes, pos: int) -> Tuple[list, int]:
+        count, pos = _take_count(data, pos, least)
+        entries = []
+        for _ in range(count):
+            entry, pos = read_item(data, pos)
+            entries.append(entry)
+        return entries, pos
+
+    return Form(write, read, 1)
+
+
+def _maybe_form(item: Form) -> Form:
+    write_item, read_item, _ = item
+
+    def write(out: bytearray, value: Any) -> None:
+        if value is None:
+            out.append(0)
+        else:
+            out.append(1)
+            write_item(out, value)
+
+    def read(data: bytes, pos: int) -> Tuple[Any, int]:
+        present, pos = _read_flag(data, pos)
+        return read_item(data, pos) if present else (None, pos)
+
+    return Form(write, read, 1)
+
+
+def _pair_form(first: Form, second: Form) -> Form:
+    def write(out: bytearray, value: Any) -> None:
+        if type(value) not in (list, tuple) or len(value) != 2:
+            _refuse("pair", value)
+        first.write(out, value[0])
+        second.write(out, value[1])
+
+    def read(data: bytes, pos: int) -> Tuple[list, int]:
+        left, pos = first.read(data, pos)
+        right, pos = second.read(data, pos)
+        return [left, right], pos
+
+    return Form(write, read, first.least + second.least)
+
+
+#: Every form a field type may name, called with the forms of its items.
+FIELD_FORMS: Dict[str, Callable[..., Form]] = {
+    "id": lambda: _ID,
+    "file-id": lambda: _fixed_int(20, "file-id"),
+    "int": lambda: Form(_write_zigzag, _read_zigzag, 1),
+    "uint": lambda: Form(_write_uint, _take_varint, 1),
+    "bool": lambda: Form(_write_bool, _read_flag, 1),
+    "str": lambda: Form(_write_text, _read_text, 1),
+    "address": lambda: Form(_write_magnitude, _read_magnitude, 1),
+    "data": lambda: Form(_write_data, _read_data, 2),
+    "certificate": _certificate_form,
+    "value": lambda: Form(_write_tagged, _read_tagged, 1),
+    "list": _list_form,
+    "maybe": _maybe_form,
+    "pair": _pair_form,
+}
+
+
+def form_of(field: Field) -> Form:
+    """The writer and reader of one field type of the kind table."""
+    build = FIELD_FORMS.get(field.form)
+    if build is None:
+        raise RuntimeError(f"no wire form is named {field.form!r}")
+    return build(*(form_of(item) for item in field.items))
+
+
+# ---------------------------------------------------------------------- #
+# shapes: one per non-route kind and per route purpose, in table order
+# ---------------------------------------------------------------------- #
+
+
+class Shape(NamedTuple):
+    """One numbered row of the kind table, as the codec runs it.
+    *required* and *optional* hold ``(name, write, read)`` in schema
+    order; a route's ``purpose`` is required but implied, never written."""
+
+    id: int
+    kind: str
+    purpose: Optional[str]
+    head: bytes
+    sender: Form
+    required: Tuple[Tuple[str, Write, Read], ...]
+    optional: Tuple[Tuple[str, Write, Read], ...]
+
+
+def _write_implied(out: bytearray, value: Any) -> None:
+    """The shape was found by this value: nothing to write."""
+
+
+def _shape(number: int, kind: str, sender: Field, schema: Schema,
+           purpose: Optional[str]) -> Shape:
+    if len(schema.optional) > 8:
+        raise RuntimeError(f"{kind}: one presence byte holds 8 optional fields")
+
+    def fields(table: Dict[str, Field]) -> tuple:
+        rows = []
+        for name, field in table.items():
+            if purpose is not None and name == "purpose":
+                rows.append((name, _write_implied,
+                             lambda data, pos: (purpose, pos)))
+            else:
+                form = form_of(field)
+                rows.append((name, form.write, form.read))
+        return tuple(rows)
+
+    return Shape(number, kind, purpose, bytes([WIRE_VERSION, number]),
+                 form_of(sender), fields(schema.required),
+                 fields(schema.optional))
+
+
+def _shapes() -> Tuple[Shape, ...]:
+    shapes = []
+    for kind, row in LIVE_KINDS.items():
+        if row.payload is None:
+            for purpose, schema in ROUTE_PURPOSES.items():
+                shapes.append(_shape(len(shapes), kind, row.sender, schema, purpose))
+        else:
+            shapes.append(_shape(len(shapes), kind, row.sender, row.payload, None))
+    return tuple(shapes)
+
+
+#: Shape id -> shape: the 16 non-route kinds and the 4 route purposes.
+SHAPES: Tuple[Shape, ...] = _shapes()
+_SHAPE_OF_KIND = {shape.kind: shape for shape in SHAPES if shape.purpose is None}
+_SHAPE_OF_PURPOSE = {shape.purpose: shape for shape in SHAPES
+                     if shape.purpose is not None}
+
+
+# ---------------------------------------------------------------------- #
+# the traceparent header
+# ---------------------------------------------------------------------- #
+
+
+def _traceparent_text(raw: bytes) -> str:
+    digits = raw.hex()
+    return f"{digits[:2]}-{digits[2:34]}-{digits[34:50]}-{digits[50:]}"
+
+
+def _traceparent_bytes(header: Any) -> bytes:
+    """The 26 bytes a W3C ``traceparent`` is made of; refused unless
+    they give back exactly *header* (lowercase hex, four fields)."""
+    try:
+        raw = bytes.fromhex(header.replace("-", ""))
+    except (AttributeError, ValueError):
+        raw = b""
+    if len(raw) != _TRACEPARENT_BYTES or _traceparent_text(raw) != header:
+        raise CodecError(f"traceparent {repr(header)[:60]} is not in the W3C layout")
+    return raw
+
+
+# ---------------------------------------------------------------------- #
+# entry points
+# ---------------------------------------------------------------------- #
 
 
 def encode_message(message: Message) -> bytes:
     """Serialize one message into a frame payload (deterministic:
     identical messages encode to identical bytes)."""
-    header = (message.kind, message.sender, message.message_id,
-              message.traceparent)
-    _check_header(*header)
-    chunks = [bytes([WIRE_VERSION])]
-    put = chunks.append
-    for field in header + (message.payload,):
-        _write_value(put, field, 0)
-    return b"".join(chunks)
+    payload = message.payload
+    if type(payload) is not dict:
+        raise CodecError(f"a payload is a dict, not {type(payload).__name__}")
+    kind = message.kind
+    if kind == "route":
+        purpose = payload.get("purpose")
+        shape = _SHAPE_OF_PURPOSE.get(purpose) if type(purpose) is str else None
+    else:
+        shape = _SHAPE_OF_KIND.get(kind) if type(kind) is str else None
+    if shape is None:
+        raise CodecError(f"no shape in the kind table for kind {kind!r}")
+    out = bytearray(shape.head)
+    try:
+        shape.sender.write(out, message.sender)
+        _write_uint(out, message.message_id)
+        if message.traceparent is None:
+            out.append(0)
+        else:
+            out.append(1)
+            out += _traceparent_bytes(message.traceparent)
+        for name, write, _ in shape.required:
+            write(out, payload[name])
+        written = len(shape.required)
+        if shape.optional:
+            mark = len(out)
+            out.append(0)
+            for bit, (name, write, _) in enumerate(shape.optional):
+                if name in payload:
+                    out[mark] |= 1 << bit
+                    write(out, payload[name])
+                    written += 1
+    except KeyError as missing:
+        raise CodecError(f"{kind} payload lacks field {missing}") from None
+    except CodecError:
+        raise
+    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
+        # A value the forms cannot write: an envelope that is not one,
+        # a str that is not UTF-8, a tagged value past its width.
+        raise CodecError(f"{kind} payload: {exc}") from exc
+    if written != len(payload):
+        raise CodecError(f"{kind} payload carries fields its shape has not: "
+                         f"{sorted(map(str, payload))}")
+    return bytes(out)
 
 
 def decode_message(payload: bytes) -> Message:
     """Parse one frame payload back into a :class:`Message`."""
-    view = memoryview(payload)
-    if len(view) == 0 or view[0] != WIRE_VERSION:
+    data = payload if type(payload) is bytes else bytes(payload)
+    if len(data) < 2 or data[0] != WIRE_VERSION:
         raise CodecError(
-            f"not a version-{WIRE_VERSION} payload (first byte "
-            f"{bytes(view[:1])!r})"
+            f"not a version-{WIRE_VERSION} payload (first bytes {data[:2]!r})"
         )
-    header = []
-    pos = 1
+    if data[1] >= len(SHAPES):
+        raise CodecError(f"unknown shape id {data[1]}")
+    shape = SHAPES[data[1]]
     try:
-        for _ in range(_HEADER_FIELDS):
-            field, pos = _read_value(view, pos, 0)
-            header.append(field)
+        sender, pos = shape.sender.read(data, 2)
+        message_id, pos = _take_varint(data, pos)
+        traced, pos = _read_flag(data, pos)
+        traceparent = None
+        if traced:
+            end = pos + _TRACEPARENT_BYTES
+            if end > len(data):
+                raise CodecError(f"payload ends inside the traceparent at byte {pos}")
+            traceparent = _traceparent_text(data[pos:end])
+            pos = end
+        body: Dict[str, Any] = {}
+        for name, _, read in shape.required:
+            body[name], pos = read(data, pos)
+        if shape.optional:
+            present = data[pos]
+            if present >> len(shape.optional):
+                raise CodecError(f"presence byte 0x{present:02x} at byte {pos} "
+                                 f"marks fields {shape.kind} has not")
+            pos += 1
+            for bit, (name, _, read) in enumerate(shape.optional):
+                if present >> bit & 1:
+                    body[name], pos = read(data, pos)
+    except IndexError:
+        raise CodecError("payload ends inside a value") from None
     except CodecError:
         raise
     except ValueError as exc:
-        # Bytes that parse but do not make the value they claim: bad
-        # UTF-8, a negative SyntheticData size.
+        # Bytes that parse but do not make the value they claim: bad UTF-8.
         raise CodecError(f"malformed value on the wire: {exc}") from exc
-    if pos != len(view):
-        raise CodecError(f"{len(view) - pos} trailing bytes after the payload")
-    kind, sender, message_id, traceparent, body = header
-    _check_header(kind, sender, message_id, traceparent)
-    return Message(kind=kind, sender=sender, payload=body,
+    if pos != len(data):
+        raise CodecError(f"{len(data) - pos} trailing bytes after the payload")
+    return Message(kind=shape.kind, sender=sender, payload=body,
                    message_id=message_id, traceparent=traceparent)

@@ -77,49 +77,57 @@ class FrameDecoder:
         return len(self._buffer)
 
     def feed(self, data: bytes) -> List[bytes]:
-        """Consume *data*; return every completed frame payload."""
-        self._buffer.extend(data)
-        frames: List[bytes] = []
+        """Consume *data*; return every completed frame payload.
+
+        Frames are parsed from a running offset into the buffer, which
+        is compacted once per call rather than once per frame."""
         buffer = self._buffer
+        buffer += data
+        frames: List[bytes] = []
+        start = 0
         while True:
-            self._resync()
-            if len(buffer) < HEADER_BYTES:
+            if start < len(buffer) and not buffer.startswith(MAGIC, start):
+                start = self._resync(start)
+            header_end = start + HEADER_BYTES
+            if len(buffer) < header_end:
                 break
-            length = int.from_bytes(buffer[len(MAGIC):HEADER_BYTES], "big")
+            length = int.from_bytes(buffer[start + len(MAGIC):header_end], "big")
             if length > self.max_frame:
                 # Poisoned stream: drop the bogus header so a (hopeless
                 # but harmless) retry of feed() cannot loop, then refuse.
-                del buffer[:len(MAGIC)]
+                del buffer[:start + len(MAGIC)]
                 self.resynced_bytes += len(MAGIC)
                 raise FrameTooLarge(
                     f"peer declared a {length}-byte frame "
                     f"(limit {self.max_frame})"
                 )
-            if len(buffer) < HEADER_BYTES + length:
+            end = header_end + length
+            if len(buffer) < end:
                 break
-            frames.append(bytes(buffer[HEADER_BYTES:HEADER_BYTES + length]))
-            del buffer[:HEADER_BYTES + length]
+            frames.append(bytes(buffer[header_end:end]))
             self.frames_decoded += 1
+            start = end
+        if start:
+            del buffer[:start]
         return frames
 
-    def _resync(self) -> None:
-        """Discard leading bytes until the buffer starts with ``MAGIC``
-        (or with a prefix of it, which may complete on the next feed)."""
+    def _resync(self, start: int) -> int:
+        """Where the frame search goes on from *start*, at which the
+        buffer does not hold ``MAGIC``: the next ``MAGIC``, or a prefix
+        of it that ends the buffer (it may complete on the next feed).
+        The garbage skipped is counted."""
         buffer = self._buffer
-        while buffer and not MAGIC.startswith(bytes(buffer[:len(MAGIC)])):
-            index = buffer.find(MAGIC, 1)
-            if index >= 0:
-                self.resynced_bytes += index
-                del buffer[:index]
-                return
+        remaining = len(buffer) - start
+        if remaining < len(MAGIC) and MAGIC.startswith(buffer[start:]):
+            return start
+        index = buffer.find(MAGIC, start + 1)
+        if index < 0:
             # No full magic: keep a trailing partial-magic prefix (it
-            # may be a frame boundary torn mid-magic), drop the rest.
-            keep = 0
-            for size in range(len(MAGIC) - 1, 0, -1):
-                if bytes(buffer[-size:]) == MAGIC[:size]:
-                    keep = size
+            # may be a frame boundary torn mid-magic), skip the rest.
+            index = len(buffer)
+            for size in range(min(len(MAGIC) - 1, remaining), 0, -1):
+                if buffer.endswith(MAGIC[:size]):
+                    index -= size
                     break
-            dropped = len(buffer) - keep
-            self.resynced_bytes += dropped
-            del buffer[:dropped]
-            return
+        self.resynced_bytes += index - start
+        return index

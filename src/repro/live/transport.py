@@ -41,8 +41,9 @@ model (real payload bytes for data-bearing messages), the socket
 transport by the *actual* encoded frame length.
 
 :data:`LIVE_KINDS` is the one statement of what each live message
-carries; the socket transport refuses, at its edge, every decoded frame
-that does not fit it (:func:`well_formed`).
+carries: the socket codec writes each kind from it, and the socket
+transport refuses, at its edge, every decoded frame that does not fit
+it (:func:`well_formed`).
 """
 
 from __future__ import annotations
@@ -146,98 +147,120 @@ class Message:
 # the live kinds: what each message may carry, checked at the socket edge
 # ---------------------------------------------------------------------- #
 
-#: A field type: ``fits(value, registered)``, where *registered* holds
-#: every address with a mailbox.  Types are exact (a bool is no int).
-Field = Callable[[Any, Container], bool]
+class Field(NamedTuple):
+    """A field type.  ``fits(value, registered)`` says whether a value
+    belongs to it, where *registered* holds every address with a
+    mailbox; types are exact (a bool is no int).  *form* names how the
+    wire writes it (``live/net/codec.py`` derives each kind's writer and
+    reader from these), and *items* are the field types a composite form
+    is built from: a list's element, a maybe's value, a pair's halves."""
+
+    fits: Callable[[Any, Container], bool]
+    form: str
+    items: Tuple["Field", ...] = ()
 
 
-def _typed(cls: type) -> Field:
+def _typed(cls: type, form: str) -> Field:
     def fits(value: Any, registered: Container) -> bool:
         return type(value) is cls
-    return fits
+    return Field(fits, form)
 
 
-def _below(limit: int) -> Field:
+def _below(limit: int, form: str) -> Field:
     def fits(value: Any, registered: Container) -> bool:
         return type(value) is int and 0 <= value < limit
-    return fits
+    return Field(fits, form)
 
 
 def _list_of(item: Field) -> Field:
+    item_fits = item.fits
+
     def fits(value: Any, registered: Container) -> bool:
         if type(value) is not list:
             return False
         for entry in value:
-            if not item(entry, registered):
+            if not item_fits(entry, registered):
                 return False
         return True
-    return fits
+    return Field(fits, "list", (item,))
 
 
 def _maybe(field: Field) -> Field:
+    field_fits = field.fits
+
     def fits(value: Any, registered: Container) -> bool:
-        return value is None or field(value, registered)
-    return fits
+        return value is None or field_fits(value, registered)
+    return Field(fits, "maybe", (field,))
 
 
 def _number_in(low: float, high: float) -> Field:
     def fits(value: Any, registered: Container) -> bool:
         return type(value) in (int, float) and low <= value <= high
-    return fits
+    return Field(fits, "value")
 
 
-BOOL, STR, DICT = _typed(bool), _typed(str), _typed(dict)
+BOOL, STR, DICT = _typed(bool, "bool"), _typed(str, "str"), _typed(dict, "value")
 _ID_LIMIT = 1 << NODE_ID_BITS
 #: A routed key; node ids share its 128-bit space.
-ID = _below(_ID_LIMIT)
+ID = _below(_ID_LIMIT, "id")
 #: FileIds and content hashes: 160 bits.
-FILE_ID = _below(1 << FILE_ID_BITS)
+FILE_ID = _below(1 << FILE_ID_BITS, "file-id")
 #: A telemetry instant and window width, bounded so that the window
 #: index ``instant / window`` is a finite float.
 INSTANT = _number_in(0, 1 << 32)
 WINDOW = _number_in(2.0 ** -32, 1 << 32)
 
 
-def INT(value: Any, registered: Container) -> bool:
-    """At most 64 bits either side of zero, so ``str()`` of it (seeds,
-    signed fields, span exports) never meets the digit limit."""
+def _int(value: Any, registered: Container) -> bool:
     return type(value) is int and -(1 << 64) < value < 1 << 64
 
 
-def NODE(value: Any, registered: Container) -> bool:
-    """A node id: in the id space and naming a registered address, so
-    the topology can measure its distance."""
+#: At most 64 bits either side of zero, so ``str()`` of it (seeds,
+#: signed fields, span exports) never meets the digit limit.
+INT = Field(_int, "int")
+
+
+def _node(value: Any, registered: Container) -> bool:
     return type(value) is int and 0 <= value < _ID_LIMIT and value in registered
 
 
-def ADDRESS(value: Any, registered: Container) -> bool:
-    """Any registered address; a collector's lies outside the id space."""
+def _address(value: Any, registered: Container) -> bool:
     return type(value) is int and value in registered
 
 
+#: A node id: in the id space and naming a registered address, so the
+#: topology can measure its distance.
+NODE = Field(_node, "id")
+#: Any registered address; a collector's lies outside the id space.
+ADDRESS = Field(_address, "address")
 NODES = _list_of(NODE)
 _CELLS = _list_of(_maybe(NODE))
 
 
-def ROW(value: Any, registered: Container) -> bool:
-    """One routing-table row a join route collected: ``[index, cells]``."""
+def _row(value: Any, registered: Container) -> bool:
     return (type(value) is list and len(value) == 2 and type(value[0]) is int
-            and _CELLS(value[1], registered))
+            and _CELLS.fits(value[1], registered))
 
 
+#: One routing-table row a join route collected: ``[index, cells]``.
+ROW = Field(_row, "pair", (INT, _CELLS))
 ROWS = _list_of(ROW)
 
 
-def DATA(value: Any, registered: Container) -> bool:
-    """File content whose hash can be taken: raw bytes, or a synthetic
-    description with a 128-bit seed and a 64-bit size."""
+def _data(value: Any, registered: Container) -> bool:
     if type(value) is SyntheticData:
         return 0 <= value.seed < 1 << 128 and value.size < 1 << 64
     return type(value) is RealData
 
 
+#: File content whose hash can be taken: raw bytes, or a synthetic
+#: description with a 128-bit seed and a 64-bit size.
+DATA = Field(_data, "data")
+
+
 class Schema(NamedTuple):
-    """A payload's fields: those it must carry, and those it may."""
+    """A payload's fields: those it must carry, and those it may.  The
+    order written here is the order fields travel (and are decoded) in."""
 
     required: Dict[str, Field]
     optional: Dict[str, Field] = {}
@@ -252,7 +275,7 @@ class Schema(NamedTuple):
                     return False
             else:
                 present += 1
-            if not field(value, registered):
+            if not field.fits(value, registered):
                 return False
         return present == len(self.required)
 
@@ -262,15 +285,17 @@ class Schema(NamedTuple):
 #: the fileId (the salt must fit its 64 bits) without raising.
 CERTIFICATE_FIELDS = Schema({
     "name": STR, "file_id": FILE_ID, "content_hash": FILE_ID,
-    "size": _below(1 << 64), "k": INT, "salt": _below(1 << SALT_BITS),
-    "date": INT,
+    "size": _below(1 << 64, "uint"), "k": INT,
+    "salt": _below(1 << SALT_BITS, "uint"), "date": INT,
 })
 
 
-def CERTIFICATE(value: Any, registered: Container) -> bool:
+def _certificate(value: Any, registered: Container) -> bool:
     return (type(value) is FileCertificate
             and CERTIFICATE_FIELDS.fits(value.envelope.fields, registered))
 
+
+CERTIFICATE = Field(_certificate, "certificate")
 
 _ROUTE = {"key": ID, "purpose": STR, "trail": NODES}
 _RETRY = {"randomized_seed": INT}
@@ -296,9 +321,11 @@ class LiveKind(NamedTuple):
 
 _NODE_REPLY = {"request_id": INT, "node": STR}
 
-#: Every live kind, written once.  The socket transport checks each
-#: decoded frame against it (:func:`well_formed`) before any mailbox
-#: sees it, so handlers index payloads without guards.
+#: Every live kind, written once.  The wire codec is generated from it
+#: (table order numbers the shapes; schema order is field order), and
+#: the socket transport checks each decoded frame against it
+#: (:func:`well_formed`) before any mailbox sees it, so handlers index
+#: payloads without guards.
 LIVE_KINDS: Dict[str, LiveKind] = {
     "route": LiveKind(NODE, None),
     "route-result": LiveKind(NODE, Schema(
@@ -343,7 +370,7 @@ def well_formed(message: Message, registered: Container) -> bool:
     row = LIVE_KINDS.get(message.kind)
     payload = message.payload
     if (row is None or type(payload) is not dict
-            or not row.sender(message.sender, registered)):
+            or not row.sender.fits(message.sender, registered)):
         return False
     if message.traceparent is not None and traceparent_fields(message.traceparent) is None:
         return False

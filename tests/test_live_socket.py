@@ -23,10 +23,11 @@ from repro.core.smartcard import make_uncertified_card
 from repro.faults.plan import FaultPlan
 from repro.faults.policy import RetryPolicy
 from repro.live import LiveCluster, Message
-from repro.live.net import SocketTransport, encode_message
-from repro.live.net.codec import WIRE_VERSION
+from repro.live.net import CodecError, SocketTransport, encode_message
+from repro.live.net.codec import SHAPES, WIRE_VERSION
 from repro.live.net.framing import encode_frame
 from repro.live.storage import LiveStorageCluster
+from tests.test_wire_framing import shape_id
 
 pytestmark = pytest.mark.socket
 
@@ -223,8 +224,8 @@ class TestTypedSendResults:
             transport = SocketTransport()
             transport.register(1)
             transport.mark_dead(1)
-            dead = await transport.send(1, Message(kind="ping", sender=2))
-            unknown = await transport.send(99, Message(kind="ping", sender=2))
+            dead = await transport.send(1, Message(kind="announce", sender=2))
+            unknown = await transport.send(99, Message(kind="announce", sender=2))
             await transport.aclose()
             return dead, unknown
 
@@ -267,7 +268,7 @@ class TestTypedSendResults:
             transport = SocketTransport(faults=FaultPlan(seed=1, drop_rate=1.0))
             transport.register(1)
             transport.register(2)
-            result = await transport.send(2, Message(kind="ping", sender=1))
+            result = await transport.send(2, Message(kind="announce", sender=1))
             received = await transport.receive(2, timeout=0.1)
             await transport.aclose()
             return result, received
@@ -378,12 +379,15 @@ class TestClusterLifecycleOverSockets:
         assert run(scenario()) == 0
 
     def test_foreign_stop_frame_does_not_stop_a_node(self):
-        """Shutdown is local-only: a ``stop`` message written by a
-        foreign TCP peer names no kind in the table, so the edge discards
-        it, and the node goes on serving routes.  Nor may a frame this
-        transport never enqueued unbalance its in-flight count: that
-        would leave ``idle()`` false and ``_quiesce()`` spinning."""
-        stop = encode_message(Message(kind="stop", sender=0))
+        """Shutdown is local-only: there is no ``stop`` kind, so no frame
+        can name one -- a foreign peer's nearest try, the first shape id
+        past the table, is refused by the decoder and the node goes on
+        serving routes.  Nor may a frame this transport never enqueued
+        unbalance its in-flight count: that would leave ``idle()`` false
+        and ``_quiesce()`` spinning."""
+        with pytest.raises(CodecError):
+            encode_message(Message(kind="stop", sender=0))
+        stop = bytes([WIRE_VERSION, len(SHAPES)]) + bytes(16) + b"\x00\x00"
         after = run(_after_foreign_frame(stop, lambda seen: seen["discarded"]))
         assert after == {
             "unknown": 0, "discarded": 1, "in_flight": 0, "idle": True,
@@ -391,18 +395,11 @@ class TestClusterLifecycleOverSockets:
         }
 
     def test_foreign_frame_with_non_str_kind_is_discarded(self):
-        """The node runtime dispatches on ``message.kind`` as a string; a
-        frame whose kind is an int must die in the decoder (typed
-        header), not in the node task."""
-        int64, none, empty_dict = b"\x03", b"\x00", b"\x09" + bytes(4)
-        frame = (
-            bytes([WIRE_VERSION])
-            + int64 + (7).to_bytes(8, "big")    # kind: an int, not a str
-            + int64 + bytes(8)                  # sender
-            + int64 + bytes(8)                  # message_id
-            + none                              # traceparent
-            + empty_dict                        # payload
-        )
+        """The node runtime dispatches on ``message.kind``; on the wire a
+        kind is a shape id the decoder maps to the table's name, so a
+        frame naming no shape -- the last byte value -- dies in the
+        decoder, not in the node task."""
+        frame = bytes([WIRE_VERSION, 0xFF]) + bytes(16) + b"\x00\x00"
         after = run(_after_foreign_frame(frame, lambda seen: seen["discarded"]))
         assert after == {
             "unknown": 0, "discarded": 1, "in_flight": 0, "idle": True,
@@ -410,11 +407,15 @@ class TestClusterLifecycleOverSockets:
         }
 
     def test_foreign_frame_missing_a_field_is_counted_not_fatal(self):
-        """A well-typed ``route`` frame with an empty payload decodes
-        fine, but fits no route purpose in the kind table: the edge
-        discards it, so no handler sees it (it used to end the node task
-        with ``KeyError('key')``, which ``shutdown()`` re-raised)."""
-        frame = encode_message(Message(kind="route", sender=1, payload={}))
+        """A ``route`` frame that ends after its header carries none of
+        its purpose's fields: the decoder refuses it, so no handler sees
+        it (a payload without ``key`` used to end the node task with
+        ``KeyError('key')``, which ``shutdown()`` re-raised)."""
+        with pytest.raises(CodecError):
+            encode_message(Message(kind="route", sender=1,
+                                   payload={"purpose": "lookup"}))
+        frame = (bytes([WIRE_VERSION, shape_id("route", "lookup")])
+                 + (1).to_bytes(16, "big") + b"\x00\x00")
         after = run(_after_foreign_frame(frame, lambda seen: seen["discarded"]))
         assert after == {
             "unknown": 0, "discarded": 1, "in_flight": 0, "idle": True,
@@ -422,24 +423,40 @@ class TestClusterLifecycleOverSockets:
         }
 
     @pytest.mark.parametrize("kind, payload, sender", [
-        ("leafset-reply", {"members": [-5]}, None),
-        ("leafset-reply", {"members": [2 ** 140]}, None),
-        ("leafset-reply", {"members": ["x"]}, None),
+        # A negative id, an id past 128 bits, a str id: no 16-byte slot
+        # holds them.  What a foreign peer writes instead -- the low 16
+        # bytes of -5, two bytes too many, a str body -- decodes to an
+        # unregistered id, or not at all.
+        ("leafset-reply", (2 ** 128 - 5).to_bytes(16, "big"), None),
+        ("leafset-reply", (2 ** 140).to_bytes(18, "big"), None),
+        ("leafset-reply", b"\x01x", None),
         # Sender 1 is no registered address: learning it used to raise
         # KeyError in topology.distance.
         ("announce", {}, 1),
-    ], ids=["negative-id", "id-past-128-bits", "str-id", "unregistered-sender"])
+        ("store-ack", {"request_id": 1 << 64, "ok": True}, None),
+        ("announce", {}, "zero-trace-id"),
+        ("telemetry-scrape", {"request_id": 1, "spans": 0}, 1 << 131),
+    ], ids=["negative-id", "id-past-128-bits", "str-id", "unregistered-sender",
+            "int-past-64-bits", "zero-trace-id", "unregistered-collector"])
     def test_foreign_frame_outside_the_kind_table_is_discarded(
             self, kind, payload, sender):
-        """Frames that decode but break the kind table -- each of these
-        used to reach a handler and raise there -- are discarded at the
-        edge, and the node keeps routing.  A *sender* of None names a
-        node of the cluster."""
+        """Frames the wire can carry that break the kind table -- each of
+        these used to reach a handler and raise there -- are discarded
+        at the edge, and the node keeps routing.  A *sender* of None
+        names a node of the cluster; *payload* bytes are the one member
+        of a ``leafset-reply``, written by hand."""
 
         def frame(cluster):
+            node = cluster.live_ids()[1]
+            if isinstance(payload, bytes):
+                return (bytes([WIRE_VERSION, shape_id(kind)])
+                        + node.to_bytes(16, "big") + b"\x00\x00\x01" + payload)
+            traceparent = None
+            if sender == "zero-trace-id":
+                traceparent = "00-" + "0" * 32 + "-" + "cd" * 8 + "-01"
             return encode_message(Message(
-                kind=kind, payload=payload,
-                sender=cluster.live_ids()[1] if sender is None else sender))
+                kind=kind, payload=payload, traceparent=traceparent,
+                sender=node if sender in (None, "zero-trace-id") else sender))
 
         after = run(_after_foreign_frame(frame, lambda seen: seen["discarded"]))
         assert after == {

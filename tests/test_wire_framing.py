@@ -3,11 +3,13 @@
 Framing first (length-prefixed frames over an arbitrarily-chunked byte
 stream): round-trips on randomized payloads, torn reads at *every* byte
 boundary, oversized-frame rejection, and garbage-prefix resync.  Then
-the message codec: every value the wire table admits must survive
-encode/decode (Hypothesis over the whole grammar, and one pinned example
-per table row), anything else must fail loudly at encode time, and no
-sequence of bytes -- garbage, truncated, mutated, or lying about its own
-lengths -- may get anything but a ``CodecError`` out of the decoder.
+the message codec (wire format version 2, generated from the kind
+table): every message of every shape must survive encode/decode
+(Hypothesis over the table's field types, one canonical frame per shape
+with its length pinned, and one pinned example per tagged-value row), a
+message that does not fit its shape must fail loudly at encode time, and
+no sequence of bytes -- garbage, truncated, mutated, or lying about its
+own lengths -- may get anything but a ``CodecError`` out of the decoder.
 
 These are pure unit tests -- no sockets are opened -- so they run in
 tier-1 everywhere.
@@ -20,9 +22,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.certificates import FileCertificate
+from repro.core.certificates import FILE_CERT_KIND, FileCertificate
 from repro.core.files import RealData, SyntheticData
-from repro.core.smartcard import make_uncertified_card
+from repro.core.smartcard import SmartCard, make_uncertified_card
 from repro.crypto.keys import PublicKey, _FastPublicKey, generate_keypair
 from repro.crypto.rsa import RsaPublicKey
 from repro.crypto.signatures import SignedEnvelope
@@ -34,9 +36,26 @@ from repro.live.net import (
     encode_frame,
     encode_message,
 )
-from repro.live.net.codec import MAX_DEPTH, WIRE_FORMS, WIRE_VERSION
+from repro.live.net.codec import (
+    FAST_KEY,
+    FIELD_FORMS,
+    MAX_DEPTH,
+    REAL,
+    RSA_KEY,
+    SHAPES,
+    SYNTHETIC,
+    VARINT_BYTES,
+    WIRE_FORMS,
+    WIRE_VERSION,
+)
 from repro.live.net.framing import HEADER_BYTES, MAGIC
-from repro.live.transport import Message, well_formed
+from repro.live.transport import (
+    CERTIFICATE_FIELDS,
+    LIVE_KINDS,
+    ROUTE_PURPOSES,
+    Message,
+    well_formed,
+)
 
 
 class TestFrameRoundTrip:
@@ -147,8 +166,22 @@ class TestResync:
         assert decoder.pending() < len(MAGIC)
 
 
+# ---------------------------------------------------------------------- #
+# writing frames by hand, byte for byte as docs/PROTOCOLS.md lays them out
+# ---------------------------------------------------------------------- #
+
+
 def u32(number):
     return number.to_bytes(4, "big")
+
+
+def varint(number):
+    out = bytearray()
+    while number >= 0x80:
+        out.append(number & 0x7F | 0x80)
+        number >>= 7
+    out.append(number)
+    return bytes(out)
 
 
 def int64(number):
@@ -160,16 +193,41 @@ def text(string):
 
 
 def entry(key, tagged_value):
-    """One dict entry: the key as a bare str body, then a tagged value."""
+    """One tagged dict entry: the key as a bare str body, then a value."""
     return text(key)[1:] + tagged_value
 
 
-def wire_message(*entries, kind=text("x")):
-    """A payload written by hand, byte for byte as docs/PROTOCOLS.md
-    lays it out: version, kind, sender, message_id, traceparent (None)
-    and a payload dict of *entries*."""
-    return (bytes([WIRE_VERSION]) + kind + int64(1) + int64(0) + b"\x00"
+def shape_id(kind, purpose=None):
+    (shape,) = [shape for shape in SHAPES
+                if (shape.kind, shape.purpose) == (kind, purpose)]
+    return shape.id
+
+
+#: Sender, message_id 0 and no traceparent, for a node-sent shape.
+NODE_HEADER = (1).to_bytes(16, "big") + b"\x00" + b"\x00"
+
+
+def head(kind, purpose=None):
+    return bytes([WIRE_VERSION, shape_id(kind, purpose)]) + NODE_HEADER
+
+
+def wire_message(*entries):
+    """A ``telemetry-series`` frame whose ``series`` -- a DICT field, so
+    a tagged value -- is a dict of *entries*: request_id 0, node "n",
+    the presence byte marking ``series``, then the tagged dict."""
+    return (head("telemetry-series") + varint(0) + varint(1) + b"n" + b"\x01"
             + b"\x09" + u32(len(entries)) + b"".join(entries))
+
+
+def series(value):
+    """The message :func:`wire_message` writes, carrying ``{"v": value}``."""
+    return Message(kind="telemetry-series", sender=1, payload={
+        "request_id": 0, "node": "n", "series": {"v": value}})
+
+
+#: The seven certificate fields, each at its smallest: name "f", zero
+#: ids, zero ints.
+CERTIFICATE_BODY = varint(1) + b"f" + bytes(40) + b"\x00" * 4
 
 
 def _card():
@@ -178,35 +236,139 @@ def _card():
     )
 
 
+# ---------------------------------------------------------------------- #
+# one canonical message per shape
+# ---------------------------------------------------------------------- #
+
+KEY = 0x0123_4567_89AB_CDEF_0123_4567_89AB_CDEF
+NODE_A, NODE_B = 0xA1 << 120, 0xB2 << 120
+COLLECTOR = 1 << 130
+REGISTERED = {NODE_A, NODE_B, COLLECTOR}
+TRACEPARENT = "00-" + "ab" * 16 + "-" + "cd" * 8 + "-01"
+DATA = RealData(b"certified content")
+CERTIFICATE = _card().issue_file_certificate("file", DATA, 3, salt=7,
+                                             insertion_date=0)
+_ROUTE = {"key": KEY, "trail": [NODE_A]}
+CANONICAL = {
+    ("route", "lookup"): {**_ROUTE, "origin": NODE_A, "request_id": 7,
+                          "randomized_seed": 99},
+    ("route", "join"): {**_ROUTE, "origin": NODE_A,
+                        "collect_rows": [[0, [NODE_B, None]]],
+                        "contact_neighborhood": [NODE_B]},
+    ("route", "past-insert"): {**_ROUTE, "client": NODE_A, "request_id": 7,
+                               "certificate": CERTIFICATE, "data": DATA},
+    ("route", "past-lookup"): {**_ROUTE, "client": NODE_A, "request_id": 7,
+                               "file_id": CERTIFICATE.file_id},
+    ("route-result", None): {"request_id": 7, "path": [NODE_A, NODE_B],
+                             "key": KEY},
+    ("join-request", None): {"joiner": NODE_A},
+    ("join-reply", None): {"leaf_set": [NODE_A, NODE_B],
+                           "neighborhood": [NODE_A],
+                           "rows": [[0, [NODE_B, None]]], "trail": [NODE_B]},
+    ("announce", None): {},
+    ("leafset-request", None): {},
+    ("leafset-reply", None): {"members": [NODE_A, NODE_B]},
+    ("store-request", None): {"request_id": 7, "certificate": CERTIFICATE,
+                              "data": DATA},
+    ("store-ack", None): {"request_id": 7, "ok": True},
+    ("insert-result", None): {"request_id": 7, "success": False,
+                              "holders": [NODE_A], "reason": "duplicate"},
+    ("lookup-result", None): {"request_id": 7, "certificate": CERTIFICATE,
+                              "data": DATA, "serving_node": NODE_B},
+    ("telemetry-scrape", None): {"request_id": 7, "spans": 2},
+    ("telemetry-subscribe", None): {"request_id": 7, "since": None,
+                                    "window": 1.0, "at": 2.5},
+    ("health-probe", None): {"request_id": 7},
+    ("telemetry-snapshot", None): {"request_id": 7, "node": "a1",
+                                   "state": {"joined": True},
+                                   "registry": {"c": 1}, "ledger": {},
+                                   "spans": [{"name": "hop"}]},
+    ("telemetry-series", None): {"request_id": 7, "node": "a1",
+                                 "series": {"w": [1, 2.5]}},
+    ("health-report", None): {"request_id": 7, "node": "a1", "healthy": True,
+                              "checks": {"mailbox": True}, "mailbox_depth": 0,
+                              "mailbox_limit": 1024, "in_flight": 0,
+                              "resynced_bytes": 0, "send_queue_depth": 0,
+                              "pool": {"links": 3}, "state": {}},
+}
+#: Frame payload bytes of each canonical message: a codec that grows
+#: fails here, not only in the benchmark.
+#: The header is 47 of them: version, shape id, a 16-byte sender, a
+#: two-byte message_id and a 27-byte traceparent.
+CANONICAL_BYTES = {
+    ("route", "lookup"): 100, ("route", "join"): 134,
+    ("route", "past-insert"): 233, ("route", "past-lookup"): 118,
+    ("route-result", None): 97, ("join-request", None): 63,
+    ("join-reply", None): 135, ("announce", None): 47,
+    ("leafset-request", None): 47, ("leafset-reply", None): 80,
+    ("store-request", None): 183, ("store-ack", None): 49,
+    ("insert-result", None): 77, ("lookup-result", None): 201,
+    ("telemetry-scrape", None): 51, ("telemetry-subscribe", None): 70,
+    ("health-probe", None): 50, ("telemetry-snapshot", None): 114,
+    ("telemetry-series", None): 85, ("health-report", None): 103,
+}
+
+
+def canonical(kind, purpose=None):
+    payload = dict(CANONICAL[kind, purpose])
+    if purpose is not None:
+        payload["purpose"] = purpose
+    sender = COLLECTOR if LIVE_KINDS[kind].sender.form == "address" else NODE_A
+    return Message(kind=kind, sender=sender, payload=payload,
+                   message_id=300, traceparent=TRACEPARENT)
+
+
+ALL_SHAPES = [(shape.kind, shape.purpose) for shape in SHAPES]
+CANONICAL_FRAMES = [encode_message(canonical(*key)) for key in ALL_SHAPES]
+
+
+def schema_of(kind, purpose):
+    return LIVE_KINDS[kind].payload or ROUTE_PURPOSES[purpose]
+
+
 class TestMessageCodec:
     def test_plain_payload_round_trip(self):
         message = Message(
             kind="route", sender=0xABCDEF,
-            payload={"key": 1 << 127, "trail": [1, 2, 3], "purpose": None,
-                     "nested": {"flag": True, "rate": 0.5}},
-            message_id=42,
-            traceparent="00-" + "ab" * 16 + "-" + "cd" * 8 + "-01",
+            payload={"request_id": 5, "trail": [1, 2, 3], "purpose": "lookup",
+                     "key": 1 << 127, "origin": 4, "randomized_seed": -9},
+            message_id=42, traceparent=TRACEPARENT,
         )
         decoded = decode_message(encode_message(message))
-        assert decoded.kind == message.kind
-        assert decoded.sender == message.sender
-        assert decoded.payload == message.payload
-        assert decoded.message_id == 42
-        assert decoded.traceparent == message.traceparent
+        assert decoded == message
+        # Fields come back in schema order, whatever order they were built in.
+        assert list(decoded.payload) == ["key", "purpose", "trail", "origin",
+                                         "request_id", "randomized_seed"]
 
     def test_big_ints_survive(self):
-        """nodeIds/fileIds are 128-bit ints, signatures far larger --
-        the wire must carry them exactly, no fixed-width truncation."""
+        """nodeIds are 128-bit and fileIds 160-bit ints, signatures far
+        larger -- the wire must carry them exactly, no truncation."""
+        message = Message(kind="route", sender=(1 << 128) - 1, payload={
+            "key": (1 << 128) - 1, "purpose": "past-lookup", "trail": [],
+            "client": 0, "request_id": (1 << 64) - 1,
+            "file_id": (1 << 160) - 1})
+        assert decode_message(encode_message(message)) == message
         huge = (1 << 512) + 12345
-        message = Message(kind="ack", sender=(1 << 128) - 1,
-                          payload={"signature": huge})
-        assert decode_message(encode_message(message)).payload["signature"] == huge
+        assert decode_message(encode_message(series(huge))).payload[
+            "series"] == {"v": huge}
+        envelope = CERTIFICATE.envelope
+        signed = FileCertificate(SignedEnvelope(
+            kind=envelope.kind, fields=envelope.fields, signer=envelope.signer,
+            signature=huge))
+        store = Message(kind="store-request", sender=1, payload={
+            "request_id": 1, "certificate": signed, "data": DATA})
+        assert decode_message(encode_message(store)) == store
 
     def test_tuples_normalize_to_lists(self):
-        message = Message(kind="state", sender=1,
-                          payload={"rows": [(0, [1, None, 3]), (1, [4])]})
-        decoded = decode_message(encode_message(message))
-        assert decoded.payload["rows"] == [[0, [1, None, 3]], [1, [4]]]
+        decoded = decode_message(encode_message(
+            series([(0, [1, None, 3]), (1, [4])])))
+        assert decoded.payload["series"]["v"] == [[0, [1, None, 3]], [1, [4]]]
+        reply = Message(kind="join-reply", sender=1, payload={
+            "leaf_set": (1, 2), "neighborhood": [], "rows": [(0, (1, None))],
+            "trail": []})
+        assert decode_message(encode_message(reply)).payload == {
+            "leaf_set": [1, 2], "neighborhood": [], "rows": [[0, [1, None]]],
+            "trail": []}
 
     def test_subclasses_travel_as_their_registered_base(self):
         import collections
@@ -216,76 +378,80 @@ class TestMessageCodec:
             RED = 7
 
         pair = collections.namedtuple("pair", "left right")
-        message = Message(kind="state", sender=1, payload={
-            "enum": Colour.RED, "pair": pair(1, 2),
-            "ordered": collections.OrderedDict(b=1, a=2),
-        })
-        decoded = decode_message(encode_message(message))
-        assert decoded.payload == {"enum": 7, "pair": [1, 2],
-                                   "ordered": {"b": 1, "a": 2}}
-        assert type(decoded.payload["enum"]) is int
+        value = {"enum": Colour.RED, "pair": pair(1, 2),
+                 "ordered": collections.OrderedDict(b=1, a=2)}
+        decoded = decode_message(encode_message(series(value)))
+        assert decoded.payload["series"]["v"] == {
+            "enum": 7, "pair": [1, 2], "ordered": {"b": 1, "a": 2}}
+        assert type(decoded.payload["series"]["v"]["enum"]) is int
 
     def test_synthetic_and_real_data(self):
         synthetic = SyntheticData(seed=9, size=5000)
-        real = RealData(b"\x00\x01binary\xff")
-        message = Message(kind="store", sender=1,
-                          payload={"a": synthetic, "b": real, "c": None})
-        decoded = decode_message(encode_message(message))
-        assert decoded.payload["a"] == synthetic
-        assert decoded.payload["b"] == real
-        assert decoded.payload["c"] is None
+        insert = canonical("route", "past-insert")
+        insert.payload["data"] = synthetic
+        assert decode_message(encode_message(insert)).payload["data"] == synthetic
+        store = canonical("store-request")
+        store.payload["data"] = RealData(b"\x00\x01binary\xff")
+        assert decode_message(encode_message(store)) == store
+        missing = Message(kind="lookup-result", sender=1, payload={
+            "request_id": 1, "certificate": None, "data": None,
+            "serving_node": 2})
+        assert decode_message(encode_message(missing)) == missing
 
     def test_certificate_round_trip_still_verifies(self):
-        data = RealData(b"certified content")
-        certificate = _card().issue_file_certificate(
-            "file", data, 3, salt=7, insertion_date=0
-        )
-        message = Message(kind="store-request", sender=2,
-                          payload={"certificate": certificate, "data": data})
-        decoded = decode_message(encode_message(message))
+        decoded = decode_message(encode_message(canonical("store-request")))
         restored: FileCertificate = decoded.payload["certificate"]
-        assert restored == certificate
+        assert restored == CERTIFICATE
         assert restored.verify(), "signature must survive the wire"
 
     def test_rsa_public_key_round_trip(self):
         keypair = generate_keypair(random.Random(11), backend="rsa", bits=256)
-        signature = keypair.sign(b"msg")
-        message = Message(kind="key", sender=1,
-                          payload={"key": keypair.public})
-        restored = decode_message(encode_message(message)).payload["key"]
-        assert restored == keypair.public
-        assert restored.verify(b"msg", signature)
+        card = SmartCard(keypair, usage_quota=1 << 40)
+        certificate = card.issue_file_certificate("rsa", DATA, 3, salt=1,
+                                                  insertion_date=0)
+        message = canonical("store-request")
+        message.payload["certificate"] = certificate
+        restored = decode_message(encode_message(message)).payload["certificate"]
+        assert restored.envelope.signer == keypair.public
+        assert restored.verify()
 
     def test_raw_bytes_round_trip(self):
-        message = Message(kind="blob", sender=1,
-                          payload={"bytes": bytes(range(256))})
-        decoded = decode_message(encode_message(message))
-        assert decoded.payload["bytes"] == bytes(range(256))
+        raw = bytes(range(256))
+        assert decode_message(encode_message(series(raw))).payload[
+            "series"] == {"v": raw}
+        store = canonical("store-request")
+        store.payload["data"] = RealData(raw)
+        assert decode_message(encode_message(store)).payload["data"] == RealData(raw)
 
     def test_unknown_object_fails_at_encode_time(self):
-        message = Message(kind="bad", sender=1, payload={"obj": object()})
         with pytest.raises(CodecError):
-            encode_message(message)
+            encode_message(series(object()))
+        store = canonical("store-request")
+        store.payload["data"] = object()
+        with pytest.raises(CodecError):
+            encode_message(store)
 
     def test_non_string_dict_key_rejected(self):
-        message = Message(kind="bad", sender=1, payload={"map": {1: "x"}})
         with pytest.raises(CodecError):
-            encode_message(message)
+            encode_message(series({1: "x"}))
 
     def test_garbage_payload_rejected(self):
         with pytest.raises(CodecError):
             decode_message(b"\xff\xfenot a payload")
         with pytest.raises(CodecError):
             decode_message(b"")
-        # The format this one replaced: refused on its first byte.
+        # The formats this one replaced, refused on their first byte: JSON,
+        # and a version-1 payload (kind as a tagged str, then the rest).
         with pytest.raises(CodecError):
             decode_message(b'{"kind":"x","sender":1,"payload":{}}')
-        # A well-formed value that is not a message: five ints.
+        with pytest.raises(CodecError, match="not a version-2"):
+            decode_message(b"\x01" + text("announce") + int64(1) + int64(0)
+                           + b"\x00" + b"\x09" + u32(0))
+        # A header cut short after the shape id, and inside the sender.
         with pytest.raises(CodecError):
-            decode_message(bytes([WIRE_VERSION]) + 5 * int64(1))
-        # A header cut short after ``kind``.
+            decode_message(bytes([WIRE_VERSION, shape_id("announce")]))
         with pytest.raises(CodecError):
-            decode_message(bytes([WIRE_VERSION]) + text("x"))
+            decode_message(head("announce")[:10])
 
     def test_unknown_tag_rejected(self):
         assert 0x7F not in {form.tag for form in WIRE_FORMS}
@@ -293,82 +459,107 @@ class TestMessageCodec:
             decode_message(wire_message(entry("v", b"\x7f")))
 
     def test_identical_messages_encode_identically(self):
-        def build():
-            return Message(kind="route", sender=3,
-                           payload={"b": 2, "a": 1, "trail": [5, 6]},
-                           message_id=9)
+        """The same message gives the same bytes -- and, fields being
+        written in schema order, so does the same payload built in
+        another order."""
+        def build(order):
+            fields = {"key": 5, "purpose": "lookup", "trail": [5, 6],
+                      "origin": 3, "request_id": 9}
+            return Message(kind="route", sender=3, message_id=9,
+                           payload={name: fields[name] for name in order})
 
-        assert encode_message(build()) == encode_message(build())
+        forward = build(["key", "purpose", "trail", "origin", "request_id"])
+        assert encode_message(forward) == encode_message(build(forward.payload))
+        assert encode_message(forward) == encode_message(
+            build(reversed(list(forward.payload))))
 
 
 # ---------------------------------------------------------------------- #
-# the whole value grammar
+# every shape, drawn from the kind table's field types
 # ---------------------------------------------------------------------- #
 
 ints = st.integers(min_value=-(1 << 600), max_value=1 << 600)
-public_keys = st.one_of(
-    st.builds(lambda secret: PublicKey(_FastPublicKey(secret=secret)),
-              st.binary(max_size=40)),
-    st.builds(lambda n, e: PublicKey(RsaPublicKey(n=n, e=e)),
-              st.integers(min_value=3, max_value=1 << 600),
-              st.integers(min_value=3, max_value=1 << 17)),
-)
 plain = st.one_of(st.none(), st.booleans(), ints,
                   st.floats(allow_nan=False), st.text(), st.binary())
-envelopes = st.builds(
-    SignedEnvelope, kind=st.text(), signer=public_keys, signature=ints,
-    fields=st.dictionaries(st.text(), plain, max_size=4),
-)
-#: One strategy per Python type the wire table carries (the test below
-#: holds this to WIRE_FORMS, so a new row cannot go unexercised).
-STRATEGY_OF = {
-    type(None): st.none(),
-    bool: st.booleans(),
-    int: ints,
-    float: st.floats(allow_nan=False),
-    str: st.text(),
-    bytes: st.binary(),
-    SyntheticData: st.builds(SyntheticData, seed=ints,
-                             size=st.integers(min_value=0, max_value=1 << 70)),
-    RealData: st.builds(RealData, st.binary()),
-    PublicKey: public_keys,
-    SignedEnvelope: envelopes,
-    FileCertificate: st.builds(FileCertificate, envelope=envelopes),
-}
+#: Any value of the tagged grammar (DICT, INSTANT and WINDOW fields).
 values = st.recursive(
-    st.one_of(*STRATEGY_OF.values()),
+    plain,
     lambda children: st.one_of(
         st.lists(children, max_size=4),
         st.dictionaries(st.text(), children, max_size=4),
     ),
     max_leaves=12,
 )
-messages = st.builds(
-    Message, kind=st.text(), sender=ints, message_id=ints,
-    traceparent=st.none() | st.text(),
-    payload=st.dictionaries(st.text(), values, max_size=4),
+ids = st.integers(min_value=0, max_value=(1 << 128) - 1)
+uints = st.integers(min_value=0, max_value=(1 << 70) - 1)
+public_keys = st.one_of(
+    st.builds(lambda secret: PublicKey(_FastPublicKey(secret=secret)),
+              st.binary(max_size=40)),
+    st.builds(lambda n, e: PublicKey(RsaPublicKey(n=n, e=e)),
+              st.integers(min_value=0, max_value=1 << 600),
+              st.integers(min_value=0, max_value=1 << 17)),
 )
 
 
-def rich_message():
-    """One message touching every row of the wire table."""
-    keypair = generate_keypair(random.Random(11), backend="rsa", bits=256)
-    data = RealData(b"certified content")
-    certificate = _card().issue_file_certificate(
-        "file", data, 3, salt=7, insertion_date=0
-    )
-    return Message(
-        kind="store-request", sender=(1 << 128) - 1, message_id=42,
-        traceparent="00-" + "ab" * 16 + "-" + "cd" * 8 + "-01",
-        payload={
-            "none": None, "no": False, "yes": True, "small": -5,
-            "big": -(1 << 200), "rate": 0.25, "name": "café",
-            "blob": b"\x00\xff", "trail": [1, [2, {"deep": []}]],
-            "synthetic": SyntheticData(seed=9, size=5000), "data": data,
-            "certificate": certificate, "envelope": certificate.envelope,
-            "fast": certificate.envelope.signer, "rsa": keypair.public,
-        },
-    )
+def _certificates():
+    fields = st.fixed_dictionaries({
+        name: strategy(field)
+        for name, field in CERTIFICATE_FIELDS.required.items()})
+    return st.builds(
+        lambda fields, signer, signature: FileCertificate(SignedEnvelope(
+            kind=FILE_CERT_KIND, fields=fields, signer=signer,
+            signature=signature)),
+        fields, public_keys, st.integers(min_value=0, max_value=1 << 600))
+
+
+#: One strategy per wire form, called with the strategies of its items
+#: (the test below holds this to FIELD_FORMS, so a new form cannot go
+#: unexercised).
+STRATEGY_OF = {
+    "id": lambda: ids,
+    "file-id": lambda: st.integers(min_value=0, max_value=(1 << 160) - 1),
+    "int": lambda: st.integers(min_value=-(1 << 69), max_value=(1 << 69) - 1),
+    "uint": lambda: uints,
+    "bool": st.booleans,
+    "str": st.text,
+    "address": lambda: st.integers(min_value=0, max_value=1 << 200),
+    "data": lambda: st.one_of(
+        st.builds(SyntheticData, seed=ids, size=uints),
+        st.builds(RealData, st.binary())),
+    "certificate": _certificates,
+    "value": lambda: values,
+    "list": lambda item: st.lists(item, max_size=3),
+    "maybe": lambda item: st.none() | item,
+    "pair": lambda first, second: st.tuples(first, second).map(list),
+}
+
+
+def strategy(field):
+    return STRATEGY_OF[field.form](*(strategy(item) for item in field.items))
+
+
+traceparents = st.binary(min_size=26, max_size=26).map(
+    lambda raw: "-".join((raw[:1].hex(), raw[1:17].hex(), raw[17:25].hex(),
+                          raw[25:].hex())))
+
+
+@st.composite
+def messages(draw, shapes=st.sampled_from(SHAPES)):
+    """Any message the wire can write: a shape, its sender type, and
+    each of its fields drawn from the field type the table gives it."""
+    shape = draw(shapes)
+    schema = schema_of(shape.kind, shape.purpose)
+    payload = {}
+    for name, field in schema.required.items():
+        payload[name] = (shape.purpose if name == "purpose"
+                         else draw(strategy(field)))
+    for name, field in schema.optional.items():
+        if draw(st.booleans()):
+            payload[name] = draw(strategy(field))
+    return Message(kind=shape.kind,
+                   sender=draw(strategy(LIVE_KINDS[shape.kind].sender)),
+                   payload=payload, message_id=draw(uints),
+                   traceparent=draw(st.none() | traceparents))
 
 
 def decodes_or_refuses(payload):
@@ -379,13 +570,27 @@ def decodes_or_refuses(payload):
         pass
 
 
+def forms_in(field):
+    yield field.form
+    for item in field.items:
+        yield from forms_in(item)
+
+
 class TestValueGrammar:
     def test_strategies_cover_the_wire_table(self):
-        carried = {form.type for form in WIRE_FORMS} - {list, dict}
-        assert carried == set(STRATEGY_OF)
+        """Every form the table names has a strategy and a codec entry,
+        and the codec has no form the table does not use."""
+        used = set()
+        for row in LIVE_KINDS.values():
+            used |= set(forms_in(row.sender))
+        schemas = [row.payload for row in LIVE_KINDS.values() if row.payload]
+        for schema in schemas + list(ROUTE_PURPOSES.values()) + [CERTIFICATE_FIELDS]:
+            for field in {**schema.required, **schema.optional}.values():
+                used |= set(forms_in(field))
+        assert used == set(FIELD_FORMS) == set(STRATEGY_OF)
 
-    @given(messages)
-    @settings(max_examples=200, deadline=None)
+    @given(messages())
+    @settings(max_examples=300, deadline=None)
     def test_round_trip(self, message):
         wire = encode_message(message)
         decoded = decode_message(wire)
@@ -393,80 +598,195 @@ class TestValueGrammar:
         assert encode_message(decoded) == wire
 
     def test_every_row_round_trips_under_its_own_tag(self):
-        """One pinned example per table row, found on the wire under
-        exactly the tag docs/PROTOCOLS.md gives it."""
-        payload = rich_message().payload
+        """One pinned example per tagged-value row, found on the wire
+        under exactly the tag docs/PROTOCOLS.md gives it; and each form
+        byte of a data field and of a certificate's signer."""
         example_of = {
             0x00: None, 0x01: False, 0x02: True, 0x03: -(1 << 63),
             0x04: 1 << 63, 0x05: 0.25, 0x06: "café", 0x07: b"\x00\xff",
             0x08: [1, "two"], 0x09: {"k": None},
-            0x10: payload["synthetic"], 0x11: payload["data"],
-            0x12: payload["fast"], 0x13: payload["rsa"],
-            0x14: payload["envelope"], 0x15: payload["certificate"],
         }
         assert set(example_of) == {form.tag for form in WIRE_FORMS}
         for tag, example in example_of.items():
-            wire = encode_message(Message(kind="x", sender=1,
-                                          payload={"v": example}))
+            wire = encode_message(series(example))
             assert wire.startswith(wire_message(entry("v", bytes([tag])))), hex(tag)
-            assert decode_message(wire).payload == {"v": example}, hex(tag)
+            assert decode_message(wire).payload["series"] == {"v": example}, hex(tag)
+
+        # name "file", the two 160-bit ids, size 17, k 3 (zigzag 6),
+        # salt 7, date 0; then the signer's form byte.
+        fields = (varint(4) + b"file" + CERTIFICATE.file_id.to_bytes(20, "big")
+                  + CERTIFICATE.content_hash.to_bytes(20, "big")
+                  + varint(17) + varint(6) + varint(7) + varint(0))
+        envelope = CERTIFICATE.envelope
+        rsa = generate_keypair(random.Random(11), backend="rsa", bits=256).public
+        for backend, signer, data in (
+                (FAST_KEY, envelope.signer, DATA),
+                (RSA_KEY, rsa, SyntheticData(seed=9, size=5000))):
+            certificate = FileCertificate(SignedEnvelope(
+                kind=envelope.kind, fields=envelope.fields, signer=signer,
+                signature=envelope.signature))
+            message = Message(kind="store-request", sender=1, payload={
+                "request_id": 0, "certificate": certificate, "data": data})
+            wire = encode_message(message)
+            assert wire.startswith(head("store-request") + varint(0) + fields
+                                   + bytes([backend])), hex(backend)
+            if type(data) is RealData:
+                tail = bytes([REAL]) + varint(data.size) + data.to_bytes()
+            else:
+                tail = (bytes([SYNTHETIC]) + data.seed.to_bytes(16, "big")
+                        + varint(data.size))
+            assert wire.endswith(tail)
+            assert decode_message(wire) == message
 
     def test_dict_order_is_the_senders(self):
-        message = Message(kind="x", sender=1, payload={"b": 2, "a": 1})
-        wire = encode_message(message)
-        assert wire == wire_message(entry("b", int64(2)), entry("a", int64(1)))
-        assert list(decode_message(wire).payload) == ["b", "a"]
+        """Inside a tagged dict the sender's order travels; the payload
+        itself comes out in schema order."""
+        wire = encode_message(series({"b": 2, "a": 1}))
+        assert wire == wire_message(entry("v", b"\x09" + u32(2) + entry("b", int64(2))
+                                          + entry("a", int64(1))))
+        assert list(decode_message(wire).payload["series"]["v"]) == ["b", "a"]
+        result = Message(kind="insert-result", sender=1, payload={
+            "reason": "duplicate", "holders": [], "success": False,
+            "request_id": 3})
+        assert list(decode_message(encode_message(result)).payload) == [
+            "request_id", "success", "holders", "reason"]
 
     def test_header_is_typed_on_both_sides(self):
+        for kind in (7, "stop", None):
+            with pytest.raises(CodecError, match="no shape"):
+                encode_message(Message(kind=kind, sender=1))
+        with pytest.raises(CodecError, match="no shape"):
+            encode_message(Message(kind="route", sender=1,
+                                   payload={"purpose": "gossip"}))
+        with pytest.raises(CodecError, match="payload is a dict"):
+            encode_message(Message(kind="announce", sender=1, payload=None))
+        for sender in (-1, 1 << 128, "1", True):
+            with pytest.raises(CodecError):
+                encode_message(Message(kind="announce", sender=sender))
         with pytest.raises(CodecError):
-            encode_message(Message(kind=7, sender=1))
+            encode_message(Message(kind="health-probe", sender=-1,
+                                   payload={"request_id": 1}))
+        for header in ("garbage", TRACEPARENT.upper(), TRACEPARENT + " ",
+                       TRACEPARENT.replace("-", "_"), 7):
+            with pytest.raises(CodecError, match="traceparent"):
+                encode_message(Message(kind="announce", sender=1,
+                                       traceparent=header))
         with pytest.raises(CodecError):
-            decode_message(wire_message(kind=int64(7)))
-        # What the payload holds is the kind table's business: the codec
-        # carries any value, the socket edge refuses a non-dict.
-        odd = decode_message(encode_message(
-            Message(kind="announce", sender=1, payload=None)))
-        assert odd.payload is None and not well_formed(odd, {1})
+            encode_message(Message(kind="announce", sender=1, message_id=-1))
+        with pytest.raises(CodecError, match="unknown shape id"):
+            decode_message(bytes([WIRE_VERSION, len(SHAPES)]) + NODE_HEADER)
 
     def test_domain_fields_are_typed(self):
-        """A certificate whose envelope is an int must not reach a
-        handler that will call ``.verify()`` on it."""
-        with pytest.raises(CodecError, match="expected SignedEnvelope"):
-            decode_message(wire_message(entry("c", b"\x15" + int64(1))))
-        with pytest.raises(CodecError):  # SyntheticData of negative size
-            decode_message(wire_message(entry("d", b"\x10" + int64(1) + int64(-1))))
+        """Form bytes and flags name one of their values or are refused:
+        a data form, a signer backend, a bool, a maybe, a presence byte."""
+        store = head("store-request") + varint(0) + CERTIFICATE_BODY
+        with pytest.raises(CodecError, match="unknown signer backend 0x14"):
+            decode_message(store + b"\x14")
+        signed = store + bytes([FAST_KEY]) + varint(0) + varint(0)
+        assert decode_message(signed + bytes([REAL]) + varint(0))
+        with pytest.raises(CodecError, match="unknown data form 0x15"):
+            decode_message(signed + b"\x15")
+        with pytest.raises(CodecError, match="neither 0 nor 1"):
+            decode_message(head("store-ack") + varint(0) + b"\x02")
+        with pytest.raises(CodecError, match="neither 0 nor 1"):
+            decode_message(head("lookup-result") + varint(0) + b"\x02")
+        with pytest.raises(CodecError, match="presence byte"):
+            decode_message(head("insert-result") + varint(0) + b"\x00"
+                           + varint(0) + b"\x02")
 
     def test_repeated_dict_key_rejected(self):
         with pytest.raises(CodecError, match="repeats a key"):
             decode_message(wire_message(entry("k", b"\x00"), entry("k", b"\x02")))
 
+    def test_the_frame_of_each_shape_has_its_pinned_length(self):
+        for key, frame in zip(ALL_SHAPES, CANONICAL_FRAMES):
+            assert well_formed(decode_message(frame), REGISTERED), key
+        assert set(CANONICAL) == set(ALL_SHAPES) == set(CANONICAL_BYTES)
+        assert dict(zip(ALL_SHAPES, map(len, CANONICAL_FRAMES))) == CANONICAL_BYTES
+
+
+class TestEncodeRefusal:
+    """A message that does not fit its shape never reaches the wire."""
+
+    @pytest.mark.parametrize("key", ALL_SHAPES, ids=lambda key: "/".join(filter(None, key)))
+    def test_missing_extra_and_unwritable_fields_are_refused(self, key):
+        message = canonical(*key)
+        optional = schema_of(*key).optional
+        for name in message.payload:
+            payload = {k: v for k, v in message.payload.items() if k != name}
+            dropped = Message(kind=message.kind, sender=message.sender,
+                              payload=payload)
+            if name in optional:
+                assert decode_message(encode_message(dropped)).payload == payload
+            else:
+                with pytest.raises(CodecError):
+                    encode_message(dropped)
+            unwritable = dict(message.payload, **{name: object()})
+            if name != "purpose":
+                with pytest.raises(CodecError):
+                    encode_message(Message(kind=message.kind, sender=message.sender,
+                                           payload=unwritable))
+        with pytest.raises(CodecError, match="fields its shape has not"):
+            encode_message(Message(kind=message.kind, sender=message.sender,
+                                   payload=dict(message.payload,
+                                                traceparent=TRACEPARENT)))
+
+    def test_values_past_their_slot_are_refused(self):
+        """A negative id, an id past its 16 or 20 bytes, an int past 70
+        bits, a bool for an int: no form can write them."""
+        for name, value in (("key", -5), ("key", 1 << 128), ("trail", [1 << 140]),
+                            ("trail", ["x"]), ("request_id", 1 << 69),
+                            ("request_id", True), ("file_id", 1 << 160)):
+            message = canonical("route", "past-lookup")
+            message.payload[name] = value
+            with pytest.raises(CodecError):
+                encode_message(message)
+        certificate = CERTIFICATE.envelope
+        for fields in ({**certificate.fields, "extra": 1},
+                       {k: v for k, v in certificate.fields.items() if k != "k"},
+                       {**certificate.fields, "size": -1}):
+            message = canonical("store-request")
+            message.payload["certificate"] = FileCertificate(SignedEnvelope(
+                kind=certificate.kind, fields=fields, signer=certificate.signer,
+                signature=certificate.signature))
+            with pytest.raises(CodecError):
+                encode_message(message)
+        message = canonical("store-request")
+        message.payload["certificate"] = FileCertificate(SignedEnvelope(
+            kind="past.store-receipt", fields=certificate.fields,
+            signer=certificate.signer, signature=certificate.signature))
+        with pytest.raises(CodecError):
+            encode_message(message)
+
 
 class TestHostileBytes:
-    @given(st.binary(max_size=200))
+    @given(st.binary(max_size=200), st.integers(0, len(SHAPES)))
     @settings(max_examples=300, deadline=None)
-    def test_arbitrary_bytes(self, noise):
+    def test_arbitrary_bytes(self, noise, shape):
         decodes_or_refuses(noise)
         decodes_or_refuses(bytes([WIRE_VERSION]) + noise)
+        decodes_or_refuses(bytes([WIRE_VERSION, shape]) + noise)
 
     def test_every_proper_prefix_is_refused(self):
-        wire = encode_message(rich_message())
-        for cut in range(len(wire)):
-            with pytest.raises(CodecError):
-                decode_message(wire[:cut])
+        for wire in CANONICAL_FRAMES:
+            for cut in range(len(wire)):
+                with pytest.raises(CodecError):
+                    decode_message(wire[:cut])
 
     def test_trailing_bytes_refused(self):
-        with pytest.raises(CodecError, match="trailing"):
-            decode_message(encode_message(rich_message()) + b"\x00")
+        for wire in CANONICAL_FRAMES:
+            with pytest.raises(CodecError, match="trailing"):
+                decode_message(wire + b"\x00")
 
     def test_every_single_byte_mutation(self):
-        wire = encode_message(rich_message())
-        for position in range(len(wire)):
-            for flip in (0x01, 0x80, 0xFF):
-                mutated = bytearray(wire)
-                mutated[position] ^= flip
-                decodes_or_refuses(bytes(mutated))
+        for wire in CANONICAL_FRAMES:
+            for position in range(len(wire)):
+                for flip in (0x01, 0x80, 0xFF):
+                    mutated = bytearray(wire)
+                    mutated[position] ^= flip
+                    decodes_or_refuses(bytes(mutated))
 
-    @given(messages, st.data())
+    @given(messages(), st.data())
     @settings(max_examples=200, deadline=None)
     def test_mutations_and_cuts_of_any_message(self, message, data):
         wire = bytearray(encode_message(message))
@@ -476,32 +796,85 @@ class TestHostileBytes:
         wire[position] = data.draw(st.integers(0, 255))
         decodes_or_refuses(bytes(wire))
 
-    @pytest.mark.parametrize("tag", [0x04, 0x06, 0x07, 0x08, 0x09, 0x11, 0x12])
+    @pytest.mark.parametrize("tag", [0x04, 0x06, 0x07, 0x08, 0x09, REAL, FAST_KEY])
     def test_overlong_declaration_refused_before_allocation(self, tag):
-        """Every length-prefixed form, claiming 4 GiB it does not have."""
-        wire = wire_message(entry("v", bytes([tag]) + u32(0xFFFF_FFFF) + b"abc"))
-        tracemalloc.start()
-        try:
-            with pytest.raises(CodecError, match="declared"):
-                decode_message(wire)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 64 * 1024
+        """Every length-prefixed form of the tagged grammar (u32 length),
+        a file's bytes and a fast signer's secret (varint length),
+        claiming 4 GiB they do not have."""
+        if tag == REAL:
+            wire = (head("store-request") + varint(0) + CERTIFICATE_BODY
+                    + bytes([FAST_KEY]) + varint(0) + varint(0)
+                    + bytes([REAL]) + varint(0xFFFF_FFFF) + b"abc")
+        elif tag == FAST_KEY:
+            wire = (head("store-request") + varint(0) + CERTIFICATE_BODY
+                    + bytes([FAST_KEY]) + varint(0xFFFF_FFFF) + b"abc")
+        else:
+            wire = wire_message(entry("v", bytes([tag]) + u32(0xFFFF_FFFF) + b"abc"))
+        assert_refused_small(wire)
+
+    @pytest.mark.parametrize("before", [
+        bytes([WIRE_VERSION, shape_id("telemetry-scrape")]),
+        head("telemetry-series") + varint(0),
+        head("leafset-reply"),
+        head("join-reply") + varint(0) + varint(0),
+        head("join-reply") + varint(0) + varint(0) + varint(1) + varint(0),
+        head("store-request") + varint(0) + CERTIFICATE_BODY + bytes([RSA_KEY]),
+        head("store-request") + varint(0) + CERTIFICATE_BODY + bytes([FAST_KEY])
+        + varint(0),
+        head("telemetry-snapshot") + varint(0) + varint(0) + b"\x09" + u32(0)
+        + b"\x04",
+    ], ids=["address", "str", "node-list", "rows", "cells", "rsa-modulus",
+            "signature", "spans"])
+    def test_every_varint_length_and_count_refuses_4_gib(self, before):
+        """Each schema position holding a length or a count, claiming
+        4 GiB: refused before anything is allocated."""
+        assert_refused_small(before + varint(0xFFFF_FFFF) + b"abc")
+
+    def test_an_11_byte_varint_is_refused(self):
+        store_ack = head("store-ack")
+        assert decode_message(store_ack + b"\xff" * 9 + b"\x7f" + b"\x01")
+        with pytest.raises(CodecError, match="longer than 10 bytes"):
+            decode_message(store_ack + b"\xff" * 10 + b"\x01" + b"\x01")
+        with pytest.raises(CodecError, match="longer than 10 bytes"):
+            decode_message(bytes([WIRE_VERSION, shape_id("announce")])
+                           + bytes(16) + b"\x80" * 11 + b"\x00")
+        assert VARINT_BYTES == 10
+
+    def test_an_unknown_shape_id_is_refused(self):
+        for unknown in range(len(SHAPES), 256):
+            with pytest.raises(CodecError, match="unknown shape id"):
+                decode_message(bytes([WIRE_VERSION, unknown]) + NODE_HEADER)
+
+    def test_a_zero_trace_id_travels_for_the_edge_to_refuse(self):
+        """The wire carries any 26 bytes of traceparent; whether the
+        ids are zero is the edge's to judge."""
+        zero = "00-" + "0" * 32 + "-" + "cd" * 8 + "-01"
+        wire = (head("announce")[:-1] + b"\x01" + bytes(17)
+                + bytes.fromhex("cd" * 8) + b"\x01")
+        assert encode_message(Message(kind="announce", sender=1,
+                                      traceparent=zero)) == wire
+        decoded = decode_message(wire)
+        assert decoded.traceparent == zero
+        assert not well_formed(decoded, {1})
+        with pytest.raises(CodecError, match="neither 0 nor 1"):
+            decode_message(head("announce")[:-1] + b"\x02")
 
     def test_count_is_checked_against_the_smallest_element(self):
-        """Three bytes remain: room for 3 list elements, not for 4; and
-        for no dict entry at all (4-byte key length + a tag)."""
+        """Three bytes remain: room for 3 tagged list elements, not for
+        4; and for no tagged dict entry at all (4-byte key length + a
+        tag).  31 bytes remain: room for one 16-byte node id, not two."""
         assert decode_message(
             wire_message(entry("v", b"\x08" + u32(3) + b"\x00\x01\x02"))
-        ).payload == {"v": [None, False, True]}
+        ).payload["series"] == {"v": [None, False, True]}
         with pytest.raises(CodecError, match="4 elements declared"):
             decode_message(wire_message(entry("v", b"\x08" + u32(4) + b"\x00\x01\x02")))
         with pytest.raises(CodecError, match="1 elements declared"):
             decode_message(wire_message(entry("v", b"\x09" + u32(1) + b"\x00\x01\x02")))
+        with pytest.raises(CodecError, match="2 elements declared"):
+            decode_message(head("leafset-reply") + varint(2) + bytes(31))
 
-    @pytest.mark.parametrize("opener", [b"\x08" + u32(1), b"\x15"],
-                             ids=["lists", "certificates"])
+    @pytest.mark.parametrize("opener", [b"\x08" + u32(1), b"\x09" + u32(1) + u32(1) + b"k"],
+                             ids=["lists", "dicts"])
     def test_deep_nesting_refused_without_recursion_error(self, opener):
         wire = wire_message(entry("v", opener * 100_000 + b"\x00"))
         with pytest.raises(CodecError, match="nests deeper"):
@@ -512,7 +885,7 @@ class TestHostileBytes:
             value = []
             for _ in range(levels - 1):
                 value = [value]
-            return Message(kind="x", sender=1, payload={"v": value})
+            return series(value)
 
         wire = encode_message(nested(MAX_DEPTH))
         assert decode_message(wire) == nested(MAX_DEPTH)
@@ -523,3 +896,14 @@ class TestHostileBytes:
             entry("v", (b"\x08" + u32(1)) * MAX_DEPTH + b"\x08" + u32(0)))
         with pytest.raises(CodecError, match="nests deeper"):
             decode_message(deeper)
+
+
+def assert_refused_small(wire):
+    tracemalloc.start()
+    try:
+        with pytest.raises(CodecError, match="declared"):
+            decode_message(wire)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
