@@ -8,9 +8,10 @@ this package puts them on actual localhost TCP sockets:
 * :mod:`repro.live.net.codec` -- versioned binary serialization of
   messages, generated from the kind table (a shape id, then only the
   field values);
-* :mod:`repro.live.net.pool` -- per-node ``asyncio.start_server``
-  endpoints and pooled per-peer outbound links with bounded send
-  queues (the backpressure point);
+* :mod:`repro.live.net.pool` -- per-node listening endpoints that
+  deliver frames from ``data_received``, and pooled per-peer outbound
+  links that write straight to an idle connection, else through a
+  bounded send queue (the backpressure point);
 * :mod:`repro.live.net.transport` -- :class:`SocketTransport`, the
   drop-in ``send()``-contract implementation the conformance suite
   proves equivalent to :class:`~repro.live.transport.InProcessTransport`.

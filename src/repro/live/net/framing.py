@@ -16,7 +16,7 @@ pinned by tests/test_wire_framing.py:
 * **oversized rejection** -- a declared length above ``max_frame``
   raises :class:`FrameTooLarge` instead of allocating; a garbage or
   hostile peer must not be able to balloon the receiver's memory, and
-  the connection it poisoned is torn down by the reader.
+  the connection it poisoned is torn down by the receiving endpoint.
 * **garbage-prefix resync** -- bytes that do not start with the magic
   are skipped up to the next magic candidate (counted in
   ``resynced_bytes``), so a stream that lost sync recovers at the next
@@ -69,8 +69,6 @@ class FrameDecoder:
         self._buffer = bytearray()
         #: Garbage bytes skipped while hunting for a frame boundary.
         self.resynced_bytes = 0
-        #: Completed frames decoded so far.
-        self.frames_decoded = 0
 
     def pending(self) -> int:
         """Bytes buffered but not yet parsed into a frame."""
@@ -105,7 +103,6 @@ class FrameDecoder:
             if len(buffer) < end:
                 break
             frames.append(bytes(buffer[header_end:end]))
-            self.frames_decoded += 1
             start = end
         if start:
             del buffer[:start]

@@ -1,25 +1,36 @@
 """Socket endpoints and per-peer connection pooling.
 
-Three small pieces compose into the socket transport's data plane:
+Three small pieces compose into the socket transport's data plane, which
+runs on loop callbacks rather than on a relay task per frame:
 
-* :class:`NodeEndpoint` -- one ``asyncio.start_server`` listener per
-  node, bound to an ephemeral localhost port.  Each inbound connection
-  gets its own :class:`~repro.live.net.framing.FrameDecoder`; completed
-  frame payloads are handed to the endpoint's async ``deliver``
-  callback.  A framing violation (oversized frame, undecodable stream)
-  poisons only that connection -- it is torn down, the listener and its
-  other connections live on.
+* :class:`NodeEndpoint` -- one ``loop.create_server`` listener per node,
+  bound to an ephemeral localhost port, with one small
+  :class:`asyncio.Protocol` per inbound connection.  Its
+  ``data_received`` feeds the connection's
+  :class:`~repro.live.net.framing.FrameDecoder` and hands each completed
+  payload to the endpoint's ``deliver`` callback, inside the same
+  callback.  ``deliver`` returns None once the frame is placed; an
+  awaitable means "not yet" (a full mailbox): the connection pauses
+  reading, keeps its remaining frames in order, and resumes once the
+  awaitable is done.  A framing violation (oversized frame,
+  undecodable stream) poisons only that connection -- it is torn
+  down, the listener and its other connections live on.
 * :class:`PeerLink` -- the sender side: one long-lived outbound
-  connection per (transport, destination) pair, fed by a **bounded**
-  frame queue drained by a writer task.  The bound is the backpressure
-  point: when a peer reads slower than we send, the queue fills and
-  ``send()`` times out with a typed ``SEND_TIMEOUT`` instead of
-  buffering without limit.  A broken connection is retried once with a
-  fresh socket; if that also fails the frame is discarded and reported
-  through ``on_discard`` (to the transport's in-flight accounting).
+  connection per (transport, destination) pair.  A sender writes a frame
+  straight to the socket when the link is idle: connected, nothing
+  queued or being written, and an empty write buffer.  Otherwise the
+  frame goes into a **bounded** queue drained by a writer task, which
+  alone connects, waits out the high-water mark, reconnects once on a
+  broken connection, and discards (through ``on_discard``, to the
+  transport's in-flight accounting) a frame it cannot deliver.
 * :class:`NodePool` -- the registry hosting N endpoints + links in one
   process, with graceful ``aclose()`` (stop listeners, flush-and-stop
-  writers, cancel readers).
+  writers, close connections).
+
+Backpressure runs end to end: a full mailbox pauses the connection, the
+TCP buffers fill, the sender's write buffer stays non-empty so its
+frames queue, the bounded queue fills, and ``send()`` times out with a
+typed ``SEND_TIMEOUT`` instead of buffering without limit.
 
 The pool knows nothing about messages -- it moves opaque frames.  All
 protocol semantics (fault injection, ledger charging, dead-peer checks)
@@ -29,7 +40,8 @@ stay in :class:`~repro.live.net.transport.SocketTransport`.
 from __future__ import annotations
 
 import asyncio
-from typing import Awaitable, Callable, Dict, Optional, Set, Tuple
+import functools
+from typing import Awaitable, Callable, Dict, Iterator, Optional, Set, Tuple
 
 from repro.live.net.framing import DEFAULT_MAX_FRAME, FrameDecoder, FrameError
 
@@ -44,11 +56,70 @@ DEFAULT_SEND_QUEUE = 64
 #: before cancelling it -- a peer that stopped reading must not be able
 #: to wedge shutdown.
 CLOSE_GRACE = 1.0
-#: Socket read chunk; torn-frame handling makes the value uncritical.
-READ_CHUNK = 64 * 1024
 
-Deliver = Callable[[bytes], Awaitable[None]]
+#: Places one frame payload: None when done, else an awaitable to wait
+#: for before the connection's next frame (an ``async def`` qualifies).
+Deliver = Callable[[bytes], Optional[Awaitable]]
 Resolve = Callable[[], Awaitable[Tuple[str, int]]]
+
+
+class _Connection(asyncio.Protocol):
+    """One inbound connection: frames out of ``data_received``, in order."""
+
+    def __init__(self, endpoint: NodeEndpoint) -> None:
+        self._endpoint = endpoint
+        self._deliver = endpoint._deliver
+        self.decoder = FrameDecoder(endpoint._max_frame)
+        self.transport: Optional[asyncio.Transport] = None
+        #: The delivery reading is paused for, while there is one.
+        self._waiting: Optional[asyncio.Future] = None
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self.transport = transport
+        self._endpoint._connections.add(self)
+
+    def data_received(self, data: bytes) -> None:
+        try:
+            payloads = self.decoder.feed(data)
+        except FrameError:
+            self._endpoint.poisoned_connections += 1
+            self.transport.close()
+            return
+        self._deliver_from(iter(payloads))
+
+    def _deliver_from(self, frames: Iterator[bytes]) -> None:
+        for payload in frames:
+            pending = self._deliver(payload)
+            if pending is not None:
+                # No data_received until resume_reading(): the frames
+                # after this one wait in *frames*, in order.
+                self.transport.pause_reading()
+                self._waiting = asyncio.ensure_future(pending)
+                self._waiting.add_done_callback(
+                    functools.partial(self._resume, frames)
+                )
+                return
+
+    def _resume(self, frames: Iterator[bytes], waited: asyncio.Future) -> None:
+        self._waiting = None
+        if waited.cancelled():
+            return  # close(): the endpoint is shutting down
+        waited.result()  # a delivery that raised surfaces here
+        self._deliver_from(frames)
+        if self._waiting is None:
+            self.transport.resume_reading()
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        # Frames already decoded still land (a paused delivery finishes);
+        # only the decoder's resync history moves to the endpoint.
+        self._endpoint._connections.discard(self)
+        self._endpoint._resynced_closed += self.decoder.resynced_bytes
+
+    def close(self) -> None:
+        """Drop the connection, abandoning a delivery still waiting."""
+        self.transport.close()
+        if self._waiting is not None:
+            self._waiting.cancel()
 
 
 class NodeEndpoint:
@@ -63,13 +134,12 @@ class NodeEndpoint:
         self._deliver = deliver
         self._max_frame = max_frame
         self._server: Optional[asyncio.base_events.Server] = None
-        self._connections: Set[asyncio.StreamWriter] = set()
+        self._connections: Set[_Connection] = set()
         self.closed = False
         #: Framing violations that killed an inbound connection.
         self.poisoned_connections = 0
-        # Live per-connection decoders plus bytes resynced on ones that
-        # already closed, so `resynced_bytes` never loses history.
-        self._decoders: Set[FrameDecoder] = set()
+        # Bytes resynced on connections that already closed, so
+        # `resynced_bytes` never loses history.
         self._resynced_closed = 0
 
     @property
@@ -77,14 +147,15 @@ class NodeEndpoint:
         """Garbage bytes skipped while hunting for frame magic, summed
         over every inbound connection this endpoint ever served."""
         return self._resynced_closed + sum(
-            decoder.resynced_bytes for decoder in self._decoders
+            connection.decoder.resynced_bytes
+            for connection in self._connections
         )
 
     async def start(self) -> None:
         if self.closed:
             return
-        server = await asyncio.start_server(
-            self._serve_connection, self.host, 0
+        server = await asyncio.get_running_loop().create_server(
+            lambda: _Connection(self), self.host, 0
         )
         if self.closed:
             # Retired while the listener was coming up.
@@ -95,31 +166,6 @@ class NodeEndpoint:
         self.port = server.sockets[0].getsockname()[1]
         self.ready.set()
 
-    async def _serve_connection(self, reader: asyncio.StreamReader,
-                                writer: asyncio.StreamWriter) -> None:
-        decoder = FrameDecoder(self._max_frame)
-        self._connections.add(writer)
-        self._decoders.add(decoder)
-        try:
-            while True:
-                chunk = await reader.read(READ_CHUNK)
-                if not chunk:
-                    return
-                for payload in decoder.feed(chunk):
-                    await self._deliver(payload)
-        except FrameError:
-            self.poisoned_connections += 1
-        except (ConnectionError, asyncio.CancelledError):
-            pass
-        finally:
-            # close() without awaiting wait_closed(): the inbound side
-            # has nothing to flush, and awaiting here raises noisily if
-            # the loop is tearing the handler task down.
-            self._connections.discard(writer)
-            self._decoders.discard(decoder)
-            self._resynced_closed += decoder.resynced_bytes
-            writer.close()
-
     async def aclose(self) -> None:
         if self.closed:
             return
@@ -129,10 +175,10 @@ class NodeEndpoint:
         self.ready.set()
         if self._server is not None:
             self._server.close()
-        # Close live inbound connections so their handlers finish (on
-        # 3.12+ wait_closed would otherwise wait for them forever).
-        for writer in list(self._connections):
-            writer.close()
+        # Close live inbound connections (on 3.12+ wait_closed would
+        # otherwise wait for them forever).
+        for connection in list(self._connections):
+            connection.close()
         if self._server is not None:
             await self._server.wait_closed()
 
@@ -146,22 +192,49 @@ class PeerLink:
         self._resolve = resolve
         self._on_discard = on_discard
         self.queue: asyncio.Queue = asyncio.Queue(maxsize=queue_size)
+        self._reader: Optional[asyncio.StreamReader] = None
         self._writer: Optional[asyncio.StreamWriter] = None
         self._task = asyncio.get_running_loop().create_task(self._drain())
         self._closed = False
-        self.frames_sent = 0
-        self.frames_discarded = 0
 
-    async def _connect(self) -> asyncio.StreamWriter:
+    def _open(self) -> bool:
+        """The pooled connection can take a frame.  Peers never write
+        back, so end-of-stream means the peer closed its end: a frame
+        written there would vanish without an error."""
+        writer = self._writer
+        return (writer is not None and not writer.transport.is_closing()
+                and not self._reader.at_eof())
+
+    def try_write(self, frame: bytes) -> bool:
+        """Write *frame* now, from the caller, if the link is idle:
+        connected, nothing queued, an empty write buffer.  The writer
+        task is then idle too -- it holds an unwritten frame only while
+        it has no open connection (it writes at once when it has one) --
+        so the frame cannot overtake one sent before it, and a peer that
+        reads slowly still meets the bounded queue.  False: the caller
+        queues the frame instead."""
+        if not self.queue.empty() or not self._open():
+            return False
+        transport = self._writer.transport
+        if transport.get_write_buffer_size():
+            return False
+        transport.write(frame)
+        # A failed send closes the transport and drops the data: the
+        # caller queues the frame, and the writer task reconnects.
+        return not transport.is_closing()
+
+    async def _connect(self) -> Tuple[asyncio.StreamReader, asyncio.StreamWriter]:
         host, port = await self._resolve()
-        _, writer = await asyncio.open_connection(host, port)
-        return writer
+        return await asyncio.open_connection(host, port)
 
     async def _write(self, frame: bytes) -> None:
-        if self._writer is None:
-            # Lazy connect: only the single _drain task ever calls _write,
-            # so nothing can interleave on _writer across this await.
-            self._writer = await self._connect()  # lint: disable=ASYNC101 -- only the single _drain task calls _write
+        if not self._open():
+            # Never connected, or stale (peer restarted / closed its
+            # end): start over on a fresh connection.  Only the single
+            # _drain task ever calls _write, so nothing can interleave
+            # on _writer across these awaits.
+            await self._reset_writer()
+            self._reader, self._writer = await self._connect()
         self._writer.write(frame)
         await self._writer.drain()
 
@@ -174,19 +247,16 @@ class PeerLink:
                 try:
                     await self._write(frame)
                 except (ConnectionError, OSError):
-                    # Stale pooled connection (peer restarted / socket
-                    # half-closed): retry once on a fresh one.
+                    # The connection broke under the write: retry once
+                    # on a fresh one.
                     await self._reset_writer()
                     await self._write(frame)
-                self.frames_sent += 1
             except (ConnectionError, OSError, LookupError):
                 await self._reset_writer()
-                self.frames_discarded += 1
                 self._on_discard(frame)
             except asyncio.CancelledError:
                 # Cancelled mid-write by aclose(): account for the frame
                 # in hand so in-flight bookkeeping still balances.
-                self.frames_discarded += 1
                 self._on_discard(frame)
                 raise
         await self._reset_writer()
@@ -232,7 +302,6 @@ class PeerLink:
             except asyncio.QueueEmpty:
                 return
             if frame is not _CLOSE:
-                self.frames_discarded += 1
                 self._on_discard(frame)
 
 
@@ -298,9 +367,6 @@ class NodePool:
             await endpoint.aclose()
             self._resynced_retired += endpoint.resynced_bytes
             self._poisoned_retired += endpoint.poisoned_connections
-
-    def links_idle(self) -> bool:
-        return all(link.queue.empty() for link in self._links.values())
 
     # ------------------------------------------------------------------ #
     # wire observability (read by SocketTransport.wire_stats)

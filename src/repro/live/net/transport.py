@@ -21,8 +21,9 @@ Differences from the baseline, all deliberate:
   frame length (``size=len(frame)``), not the wire-size model; an
   injected duplicate charges a second full frame.
 * **Backpressure** -- the per-peer send queue is bounded; a peer that
-  reads slower than we send eventually fills its mailbox, the TCP
-  buffers, the send queue -- and ``send()`` returns ``SEND_TIMEOUT``
+  reads slower than we send eventually fills its mailbox (which pauses
+  the connection), the TCP buffers, the sender's write buffer, the send
+  queue -- and ``send()`` returns ``SEND_TIMEOUT``
   (liveness *unknown*: the node runtime must not forget the peer).
 * **Death is a closed listener** -- ``mark_dead`` retires the victim's
   endpoint, so in-flight and future connections fail the way a crashed
@@ -34,7 +35,8 @@ Differences from the baseline, all deliberate:
 from __future__ import annotations
 
 import asyncio
-from typing import Set
+import functools
+from typing import Awaitable, Optional, Set
 
 from repro.live.net.codec import CodecError, decode_message, encode_message
 from repro.live.net.framing import DEFAULT_MAX_FRAME, encode_frame
@@ -49,9 +51,10 @@ from repro.live.transport import (
     well_formed,
 )
 
-#: Bound on each node's inbound mailbox; the tail of the backpressure
-#: chain (mailbox full -> reader blocked -> TCP buffers fill -> sender's
-#: send queue fills -> SEND_TIMEOUT).
+#: Bound on each node's inbound mailbox; the head of the backpressure
+#: chain (mailbox full -> connection paused -> TCP buffers fill ->
+#: sender's write buffer non-empty -> bounded send queue fills ->
+#: SEND_TIMEOUT).
 DEFAULT_MAILBOX_LIMIT = 1024
 
 
@@ -95,11 +98,7 @@ class SocketTransport(TransportBase):
 
     def register(self, address: int) -> asyncio.Queue:
         queue = super().register(address)
-
-        async def deliver(payload: bytes, _address: int = address) -> None:
-            await self._deliver(_address, payload)
-
-        self._pool.spawn(address, deliver)
+        self._pool.spawn(address, functools.partial(self._deliver, address))
         return queue
 
     def mark_dead(self, address: int) -> None:
@@ -116,8 +115,13 @@ class SocketTransport(TransportBase):
     # receive side
     # ------------------------------------------------------------------ #
 
-    async def _deliver(self, address: int, payload: bytes) -> None:
+    def _deliver(self, address: int, payload: bytes) -> Optional[Awaitable]:
         """Decode one inbound frame payload into *address*'s mailbox.
+
+        Runs inside the connection's ``data_received``.  Returns None
+        once the frame is placed, or -- only when the mailbox is full --
+        an awaitable that places it: the connection pauses reading until
+        it is done, which is the backpressure reaching TCP.
 
         The edge: a frame that does not decode, or decodes to a message
         outside :data:`~repro.live.transport.LIVE_KINDS`, is counted in
@@ -129,15 +133,24 @@ class SocketTransport(TransportBase):
         if message is None or not well_formed(message, self._mailboxes):
             self.frames_discarded += 1
             self._landed()
-            return
+            return None
         if address in self._dead or address not in self._mailboxes:
             # Raced a kill: the bytes arrived but nobody is home.
             self.messages_dropped += 1
             self._landed()
-            return
-        # May block when the mailbox is full -- that is the backpressure
-        # propagating to this connection's reader, by design.
-        await self._mailboxes[address].put(message)
+            return None
+        mailbox = self._mailboxes[address]
+        try:
+            mailbox.put_nowait(message)
+        except asyncio.QueueFull:
+            return self._deliver_later(mailbox, message)
+        self.frames_delivered += 1
+        self._landed()
+        return None
+
+    async def _deliver_later(self, mailbox: asyncio.Queue,
+                             message: Message) -> None:
+        await mailbox.put(message)
         self.frames_delivered += 1
         self._landed()
 
@@ -194,8 +207,11 @@ class SocketTransport(TransportBase):
         return RESULT_DELIVERED
 
     async def _enqueue(self, link, frame: bytes) -> bool:
-        """Queue *frame* on a link within the send timeout."""
+        """Hand *frame* to a link: written at once if the link is idle,
+        else queued within the send timeout."""
         self._in_flight += 1
+        if link.try_write(frame):
+            return True
         try:
             # A queue with room (the measured depth is <= 1) costs no
             # Task and no timer; only a full one is worth waiting on.
@@ -211,6 +227,8 @@ class SocketTransport(TransportBase):
 
     def _enqueue_deferred(self, link, frame: bytes) -> None:
         """call_later callback for reordered frames (sync context)."""
+        if link.try_write(frame):
+            return
         try:
             link.queue.put_nowait(frame)
         except asyncio.QueueFull:

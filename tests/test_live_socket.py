@@ -14,6 +14,8 @@ marker (auto-skipped where binding is unavailable; CI runs
 
 import asyncio
 import random
+import socket
+import struct
 
 import pytest
 
@@ -299,6 +301,173 @@ class TestTypedSendResults:
         assert first is not None and second is not None
         assert first.message_id == second.message_id
         assert charged == wired > 0
+
+
+def ack(number):
+    """A small message numbered *number*, from node 1."""
+    return Message(kind="store-ack", sender=1,
+                   payload={"request_id": number, "ok": True})
+
+
+async def _two_nodes(**options):
+    """A socket transport with nodes 1 and 2 registered, its link from
+    1 to 2 connected by one round trip."""
+    transport = SocketTransport(**options)
+    transport.register(1)
+    transport.register(2)
+    await transport.send(2, ack(0))
+    assert (await transport.receive(2, timeout=2.0)).payload["request_id"] == 0
+    return transport
+
+
+async def _until(condition, seconds=2.0):
+    for _ in range(int(seconds / 0.01)):
+        if condition():
+            return True
+        await asyncio.sleep(0.01)
+    return condition()
+
+
+class TestSocketDataPlane:
+    """Frames leave on the sender's call when the link is idle and are
+    delivered from ``data_received``; the queued path and a paused
+    connection keep order, accounting and backpressure."""
+
+    def test_one_wakeup_and_two_loop_iterations_per_frame(self):
+        """A sequential send -> receive round trip costs the receiver's
+        one wake-up: the sender writes to the socket, the connection's
+        read callback puts the frame in the mailbox.  A relay task
+        anywhere on the path adds a wake-up and an iteration."""
+
+        async def scenario():
+            transport = await _two_nodes()
+            loop = asyncio.get_running_loop()
+            counts = {"call_soon": 0, "iterations": 0}
+            call_soon, run_once = loop.call_soon, loop._run_once
+
+            def counting_call_soon(*args, **kwargs):
+                counts["call_soon"] += 1
+                return call_soon(*args, **kwargs)
+
+            def counting_run_once():
+                counts["iterations"] += 1
+                run_once()
+
+            loop.call_soon, loop._run_once = counting_call_soon, counting_run_once
+            try:
+                for number in range(1, 501):
+                    await transport.send(2, ack(number))
+                    received = await transport.receive(2)
+                    assert received.payload["request_id"] == number
+            finally:
+                del loop.call_soon, loop._run_once
+            await transport.aclose()
+            return counts
+
+        assert run(scenario()) == {"call_soon": 500, "iterations": 1000}
+
+    def test_a_frame_offered_while_the_writer_holds_one_never_overtakes_it(
+            self, monkeypatch):
+        """Frames 1 and 2 queue before the link connects; the writer task
+        writes frame 1 and then stalls in a slow drain, with frame 2
+        still queued.  Frame 3, sent now, must come after frame 2."""
+        gate = asyncio.Event()
+        drain = asyncio.StreamWriter.drain
+
+        async def slow_drain(writer):
+            await gate.wait()
+            await drain(writer)
+
+        async def scenario():
+            transport = SocketTransport()
+            transport.register(1)
+            transport.register(2)
+            monkeypatch.setattr(asyncio.StreamWriter, "drain", slow_drain)
+            await transport.send(2, ack(1))
+            await transport.send(2, ack(2))
+            first = await transport.receive(2, timeout=2.0)
+            await transport.send(2, ack(3))
+            gate.set()
+            order = [first] + [await transport.receive(2, timeout=2.0)
+                               for _ in range(2)]
+            settled = await _until(transport.idle)
+            await transport.aclose()
+            return [message.payload["request_id"] for message in order], settled
+
+        assert run(scenario()) == ([1, 2, 3], True)
+
+    @pytest.mark.parametrize("reset", ["retired", "aborted"])
+    def test_a_direct_write_onto_a_reset_connection_is_accounted(self, reset):
+        """The connection from 1 to 2 is reset under an idle link: the
+        listener retires (node 2 still registered, so the send is
+        admitted), or the far end aborts with a TCP reset.  The next
+        frame is delivered on a fresh connection, or -- with no listener
+        left -- discarded; either way nothing stays in flight."""
+
+        async def scenario():
+            transport = await _two_nodes()
+            endpoint = transport._pool._endpoints[2]
+            if reset == "retired":
+                await transport._pool.retire(2)
+                await asyncio.sleep(0.05)  # the far end's FIN arrives
+            else:
+                (connection,) = endpoint._connections
+                connection.transport.get_extra_info("socket").setsockopt(
+                    socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+                connection.transport.abort()
+                await asyncio.sleep(0)  # the socket closes with a reset
+            result = await transport.send(2, ack(1))
+            received = None
+            if reset == "aborted":
+                received = await transport.receive(2, timeout=2.0)
+            settled = await _until(transport.idle)
+            outcome = {
+                "status": result.status,
+                "received": received and received.payload["request_id"],
+                "discarded": transport.frames_discarded,
+                "in_flight": transport.wire_stats()["in_flight"],
+                "idle": settled,
+            }
+            await transport.aclose()
+            return outcome
+
+        outcome = run(scenario())
+        assert outcome == {
+            "status": "delivered",
+            "received": None if reset == "retired" else 1,
+            "discarded": 1 if reset == "retired" else 0,
+            "in_flight": 0, "idle": True,
+        }
+
+    def test_a_full_mailbox_pauses_the_connection_and_loses_nothing(self):
+        """Forty frames at a mailbox of two that nobody reads yet: the
+        connection stops reading.  Once the node drains, every frame
+        arrives once, in send order."""
+
+        async def scenario():
+            transport = await _two_nodes(mailbox_limit=2)
+            for number in range(1, 41):
+                assert await transport.send(2, ack(number))
+            (connection,) = transport._pool._endpoints[2]._connections
+            paused = await _until(lambda: not connection.transport.is_reading())
+            received = [await transport.receive(2, timeout=2.0)
+                        for _ in range(40)]
+            settled = await _until(transport.idle)
+            late = await transport.receive(2, timeout=0.05)
+            outcome = {
+                "paused": paused,
+                "order": [message.payload["request_id"] for message in received],
+                "delivered": transport.frames_delivered,
+                "late": late, "idle": settled,
+                "reading": connection.transport.is_reading(),
+            }
+            await transport.aclose()
+            return outcome
+
+        assert run(scenario()) == {
+            "paused": True, "order": list(range(1, 41)), "delivered": 41,
+            "late": None, "idle": True, "reading": True,
+        }
 
 
 async def _foreign_frame_cluster(payload):
