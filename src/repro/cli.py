@@ -421,10 +421,12 @@ def _cmd_load(args: argparse.Namespace) -> int:
     gates the run on explicit objectives; without the flag the default
     objective is zero degraded operations -- the same gate the old
     binary degraded-op check applied.  While the load runs, metrics are
-    sampled into windowed series every ``--scrape-interval`` (through a
+    sampled into one windowed series recorder, one ``--scrape-interval``
+    a window, feeding the verdict's multi-window burn rates: the
+    cluster's registry, or, when ``--prom-out``/``--series-out`` ask for
+    artifacts, the federated registry of a
     :class:`~repro.obs.telemetry.TelemetryCollector` scraping over the
-    live wire when ``--prom-out``/``--series-out`` ask for artifacts),
-    feeding the verdict's multi-window burn rates.
+    live wire.
     """
     import asyncio
 
@@ -433,6 +435,7 @@ def _cmd_load(args: argparse.Namespace) -> int:
     from repro.obs.events import SloBreached
     from repro.obs.slo import DEFAULT_LOAD_SLO, evaluate_load_slo, parse_slo
     from repro.obs.telemetry import TelemetryCollector
+    from repro.obs.timeseries import TimeSeriesRecorder
     from repro.workloads.load_harness import LoadHarness, LoadProfile
 
     spec = parse_slo(args.slo) if args.slo else dict(DEFAULT_LOAD_SLO)
@@ -445,7 +448,7 @@ def _cmd_load(args: argparse.Namespace) -> int:
     )
     interval = args.scrape_interval
 
-    async def watch(cluster, collector, stop: "asyncio.Event") -> None:
+    async def watch(cluster, collector, recorder, stop: "asyncio.Event") -> None:
         """Sample every window until *stop*; the stop flag is read
         before each sample, so one final post-run sample always lands."""
         tick = 0
@@ -454,10 +457,10 @@ def _cmd_load(args: argparse.Namespace) -> int:
             at = tick * interval
             if collector is not None:
                 await collector.scrape_all()
-                await collector.subscribe_all(at=at)
+                collector.sample(at)
             else:
                 cluster.transport.publish_wire_gauges(cluster.obs.metrics)
-                cluster.obs.timeseries.sample(cluster.obs.metrics, at=at)
+                recorder.sample(cluster.obs.metrics, at=at)
             tick += 1
             if stopping:
                 return
@@ -475,14 +478,16 @@ def _cmd_load(args: argparse.Namespace) -> int:
         collector = None
         if args.prom_out or args.series_out:
             collector = TelemetryCollector(cluster, window=interval)
+            recorder = collector.timeseries
+        else:
+            recorder = TimeSeriesRecorder(window=interval)
         stop = asyncio.Event()
-        watcher = asyncio.create_task(watch(cluster, collector, stop))
+        watcher = asyncio.create_task(watch(cluster, collector, recorder, stop))
         harness = LoadHarness(cluster, profile, seed=args.seed)
         report = await harness.run()
         stop.set()
         await watcher
-        series = (collector.merged_series() if collector is not None
-                  else obs.timeseries.snapshot())
+        series = recorder.snapshot()
         report.slo = evaluate_load_slo(
             spec, report, obs.ledger.unpriced_total(), series_snapshot=series
         )
@@ -569,7 +574,7 @@ def _cmd_top(args: argparse.Namespace) -> int:
         cluster = LiveStorageCluster(seed=args.seed, transport=transport)
         await cluster.start(args.nodes,
                             join_concurrency=args.join_concurrency)
-        collector = TelemetryCollector(cluster, window=args.interval)
+        collector = TelemetryCollector(cluster)
         harness = LoadHarness(cluster, profile, seed=args.seed)
         load_task = asyncio.create_task(harness.run())
         clear = "\x1b[2J\x1b[H" if sys.stdout.isatty() else ""
@@ -578,7 +583,6 @@ def _cmd_top(args: argparse.Namespace) -> int:
             while frame < args.frames:
                 finishing = load_task.done()
                 await collector.scrape_all()
-                await collector.subscribe_all(at=frame * args.interval)
                 health = await collector.probe_all()
                 text = render_console(collector, health, frame)
                 print(clear + text if clear else text + "\n", flush=True)

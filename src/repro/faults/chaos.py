@@ -60,7 +60,6 @@ def run_chaos(
     # Windowed series sampled under the sim clock: one 20-unit window
     # per sample, so two same-seed runs emit byte-identical series.
     timeseries = TimeSeriesRecorder(window=20.0)
-    observer.timeseries = timeseries
     network = PastNetwork(
         rngs=RngRegistry(seed),
         observer=observer,

@@ -8,11 +8,12 @@ the synchronous simulator uses; routing decisions go through the same
 interleave, and dead peers are discovered through failed sends rather
 than an oracle.
 
-The protocol messages -- all 17 kinds, each kind's payload fields and
+The protocol messages -- all 15 kinds, each kind's payload fields and
 who may send it -- are the table :data:`repro.live.transport.LIVE_KINDS`.
-A node dispatches a message to its ``_on_<kind>`` handler and counts
-one it does not serve in ``live.messages.unknown``.  Shutdown is not a
-message: a node's loop ends only on the local ``None`` sentinel
+A node dispatches a message to its ``_on_<kind>`` handler, found once
+per kind of the table, and counts one it does not serve in
+``live.messages.unknown``.  Shutdown is not a message: a node's loop
+ends only on the local ``None`` sentinel
 (:meth:`TransportBase.close_mailbox`) or on cancellation.
 """
 
@@ -25,11 +26,10 @@ from typing import Callable, Dict, List, Optional
 
 from repro.core.errors import DegradedError
 from repro.faults.policy import AttemptLog, RetryPolicy
-from repro.live.transport import InProcessTransport, Message
+from repro.live.transport import LIVE_KINDS, WIRE_STATS, InProcessTransport, Message
 from repro.netsim.topology import EuclideanPlaneTopology, Topology
 from repro.obs.events import NodeFailed, NodeJoined, RetryAttempted
 from repro.obs.recorder import Observer
-from repro.obs.timeseries import TimeSeriesRecorder
 from repro.obs.trace_context import TraceContext
 from repro.pastry.nodeid import IdSpace
 from repro.pastry.routing import DeterministicRouting, RandomizedRouting
@@ -78,6 +78,13 @@ class LiveNode:
         self._policy = DeterministicRouting()
         self._task: Optional[asyncio.Task] = None
         self._running = False
+        # kind -> the name of the method serving it.  Names, not bound
+        # methods: a handler rebound on the class after the node started
+        # (a tracer's wrapper) is the one that runs.
+        self._handlers: Dict[str, str] = {}
+        for kind in LIVE_KINDS:
+            name = f"_on_{kind.replace('-', '_')}"
+            self._handlers[kind] = name if hasattr(self, name) else "_unserved"
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -101,23 +108,21 @@ class LiveNode:
 
     async def _run(self) -> None:
         transport = self.cluster.transport
+        handlers = self._handlers
         while self._running:
             message = await transport.receive(self.node_id)
             if message is None:
                 break
-            handler = getattr(self, f"_on_{message.kind.replace('-', '_')}", None)
-            if handler is None:
-                self._unserved()
-            else:
-                await handler(message)
+            await getattr(self, handlers.get(message.kind, "_unserved"))(message)
 
     # ------------------------------------------------------------------ #
     # helpers
     # ------------------------------------------------------------------ #
 
-    def _unserved(self) -> None:
+    async def _unserved(self, message: Optional[Message] = None) -> None:
         """Count a message this node does not serve: a reply only a
-        collector reads, a storage route at a plain node."""
+        collector reads, a storage route at a plain node, a kind
+        outside the table (only the in-process transport delivers one)."""
         if self.cluster.obs.enabled:
             self.cluster.obs.metrics.counter("live.messages.unknown").increment()
 
@@ -269,7 +274,7 @@ class LiveNode:
             )
             await self._send(payload["origin"], result)
         else:
-            self._unserved()
+            await self._unserved()
 
     # ------------------------------------------------------------------ #
     # message handlers
@@ -369,13 +374,13 @@ class LiveNode:
                 self.state.learn(member)
 
     # ------------------------------------------------------------------ #
-    # telemetry plane (scrape / subscribe / probe over the normal wire)
+    # telemetry plane (scrape / probe over the normal wire)
     # ------------------------------------------------------------------ #
 
     def _telemetry_state(self) -> dict:
-        """This node's structural state section: plain JSON, derived
-        only from protocol state (no clocks), so snapshots stay
-        deterministic per seed."""
+        """This node's structural state fields, derived only from
+        protocol state (no clocks), so replies stay deterministic per
+        seed."""
         state = {
             "joined": self.joined.is_set(),
             "known_nodes": len(self.state.known_nodes()),
@@ -389,12 +394,13 @@ class LiveNode:
         return state
 
     async def _on_telemetry_scrape(self, message: Message) -> None:
-        """Serve a full metrics/ledger/span snapshot to a collector."""
+        """Serve a registry export, ledger summary and state to a
+        collector."""
         obs = self.cluster.obs
         payload: dict = {
             "request_id": message.payload["request_id"],
             "node": f"{self.node_id:032x}",
-            "state": self._telemetry_state(),
+            **self._telemetry_state(),
         }
         if obs.enabled:
             # Refresh the derived gauges first, so the export the
@@ -403,43 +409,10 @@ class LiveNode:
             self.cluster.transport.publish_wire_gauges(obs.metrics)
             obs.metrics.gauge("live.trace.spans").set(float(len(obs.traces)))
             payload["registry"] = obs.metrics.export()
-            payload["ledger"] = obs.ledger.summary(top=5)
-            span_count = message.payload["spans"]
-            if span_count > 0:
-                payload["spans"] = [
-                    record.to_dict()
-                    for record in obs.traces.records()[-span_count:]
-                ]
+            payload["ledger"] = obs.ledger.summary_row(top=5)
         await self._send(
             message.sender,
             Message(kind="telemetry-snapshot", sender=self.node_id,
-                    payload=payload),
-        )
-
-    async def _on_telemetry_subscribe(self, message: Message) -> None:
-        """Stream windowed series increments to a collector.
-
-        The subscriber owns the clock: a request carrying ``at`` makes
-        this node sample its registry into the window covering that
-        logical instant before answering, and ``since`` bounds the reply
-        to windows the subscriber has not seen yet.
-        """
-        obs = self.cluster.obs
-        request = message.payload
-        payload: dict = {
-            "request_id": request["request_id"],
-            "node": f"{self.node_id:032x}",
-        }
-        recorder = getattr(obs, "timeseries", None)
-        if obs.enabled and recorder is not None:
-            recorder.configure_window(request["window"])
-            if "at" in request:
-                self.cluster.transport.publish_wire_gauges(obs.metrics)
-                recorder.sample(obs.metrics, at=request["at"])
-            payload["series"] = recorder.snapshot(since=request["since"])
-        await self._send(
-            message.sender,
-            Message(kind="telemetry-series", sender=self.node_id,
                     payload=payload),
         )
 
@@ -447,16 +420,12 @@ class LiveNode:
         """Answer a structured health verdict built from live wire state."""
         transport = self.cluster.transport
         stats = transport.wire_stats()
-        depth = transport.mailbox_depth(self.node_id)
+        state = self._telemetry_state()
         limit = transport.mailbox_capacity()
-        checks = {
-            "running": self._running,
-            "joined": self.joined.is_set(),
-            # A mailbox at >= 90% of its bound means backpressure is
-            # about to reach this node's peers; unbounded (limit 0)
-            # mailboxes skip the check.
-            "mailbox_headroom": limit == 0 or depth < 0.9 * limit,
-        }
+        # A mailbox at >= 90% of its bound means backpressure is about
+        # to reach this node's peers; unbounded (limit 0) mailboxes skip
+        # the check.
+        headroom = limit == 0 or state["mailbox_depth"] < 0.9 * limit
         await self._send(
             message.sender,
             Message(
@@ -465,15 +434,12 @@ class LiveNode:
                 payload={
                     "request_id": message.payload["request_id"],
                     "node": f"{self.node_id:032x}",
-                    "healthy": all(checks.values()),
-                    "checks": checks,
-                    "mailbox_depth": depth,
+                    **state,
+                    "healthy": self._running and state["joined"] and headroom,
+                    "running": self._running,
+                    "mailbox_headroom": headroom,
                     "mailbox_limit": limit,
-                    "in_flight": stats["in_flight"],
-                    "resynced_bytes": stats["resynced_bytes"],
-                    "send_queue_depth": stats["send_queue_depth"],
-                    "pool": stats,
-                    "state": self._telemetry_state(),
+                    "wire": [stats.get(name) for name in WIRE_STATS],
                 },
             ),
         )
@@ -534,10 +500,6 @@ class LiveCluster:
             self.transport.ledger = self.obs.ledger
             for name, help_text in LIVE_METRIC_HELP.items():
                 self.obs.metrics.describe(name, help_text)
-            # Windowed series for the telemetry plane; samples are driven
-            # by whoever owns the clock (a TelemetryCollector's rounds).
-            if getattr(self.obs, "timeseries", None) is None:
-                self.obs.timeseries = TimeSeriesRecorder()
         self.nodes: Dict[int, LiveNode] = {}
         # request_id -> the reply future of one in-flight client request.
         self._reply_futures: Dict[int, asyncio.Future] = {}

@@ -1,4 +1,4 @@
-"""Binary codec for live-layer messages (wire format version 2).
+"""Binary codec for live-layer messages (wire format version 3).
 
 The in-process transport hands :class:`~repro.live.transport.Message`
 objects across by reference; the wire carries bytes, and both ends know
@@ -12,7 +12,7 @@ the receiver already knows.  One frame payload is::
   non-route kind, and each route purpose, in table order
   (:data:`SHAPES`).  It implies the kind, the purpose and every field.
 * **sender** -- 16 raw bytes where the kind's sender is a ``NODE``; a
-  length-prefixed int for the three telemetry requests, whose sender is
+  length-prefixed int for the two telemetry requests, whose sender is
   any ``ADDRESS`` (a collector lives outside the 128-bit id space).
 * **message_id** -- an unsigned varint.
 * **traceparent** -- a presence byte, then the header's 26-byte binary
@@ -23,44 +23,40 @@ the receiver already knows.  One frame payload is::
   one presence byte (bit *i*: the *i*-th optional field follows).
 
 Each field's bytes are its *form*, which the table names for every field
-type (``Field.form``); composite forms (``list``, ``maybe``, ``pair``)
-carry their element types.  :data:`FIELD_FORMS` maps each form name to
+type (``Field.form``); composite forms (``list``, ``maybe``, ``row``)
+carry their element types, so every value on the wire -- the telemetry
+replies' registry rows included -- is one of a declared shape, and no
+reader recurses on input.  :data:`FIELD_FORMS` maps each form name to
 its writer and reader, and every shape's writer and reader is derived
 from the table once, at import -- there is no second field list here.
 A varint is LEB128, at most :data:`VARINT_BYTES` bytes (70 bits); an
-``int`` field is zigzag-mapped first.  ``docs/PROTOCOLS.md`` has the
-byte-level tables.
-
-``DICT`` fields (the telemetry replies) and the telemetry ``INSTANT`` and
-``WINDOW`` carry open-ended values, written in the *tagged value
-grammar* of :data:`WIRE_FORMS` (a tag byte, then that tag's body; every
-length and count there a 4-byte big-endian unsigned int).
+``int`` field is zigzag-mapped first; a ``float`` is 8 bytes of IEEE 754
+binary64.  ``docs/PROTOCOLS.md`` has the byte-level tables.
 
 Encoding is deterministic -- the same message gives the same bytes -- and
 refuses, as :class:`CodecError` in the *sender*, any message whose kind
 or purpose is not in the table, whose payload does not carry exactly its
 shape's fields, or whose values the forms cannot write (a negative id,
-an id past its slot, a bool where an int belongs, a traceparent not in
-the W3C layout).  Anything the forms *can* write is the edge's to judge
-(:func:`~repro.live.transport.well_formed`: registration, ranges, a zero
-trace id).  The decoder trusts nothing: every declared length and count
-is checked against the bytes that remain before anything is allocated,
-a varint longer than :data:`VARINT_BYTES` is refused, nesting inside a
-tagged value is capped at :data:`MAX_DEPTH`, an unknown shape id, form
-byte or tag, bad UTF-8 and trailing bytes are refused, and every such
-refusal is a :class:`CodecError`.
+an id past its slot, a bool where an int belongs, a row of the wrong
+width, a traceparent not in the W3C layout).  Anything the forms *can*
+write is the edge's to judge (:func:`~repro.live.transport.well_formed`:
+registration, ranges, a zero trace id).  The decoder trusts nothing:
+every declared length and count is checked against the bytes that
+remain before anything is allocated, a varint longer than
+:data:`VARINT_BYTES` is refused, an unknown shape id or form byte, bad
+UTF-8 and trailing bytes are refused, and every such refusal is a
+:class:`CodecError`.
 
 Decoded payloads list their fields in schema order, not in the order
-the sender built them; inside a tagged value, dict entries keep the
-sender's order.  Tuples travel as lists (the wire has one sequence
-form).  A :class:`SyntheticData` payload crosses the wire as its (seed,
-size) *description*, not its materialized bytes, so byte-realistic load
-(and real-frame ledger pricing) uses :class:`RealData`.
+the sender built them.  Tuples travel as lists (the wire has one
+sequence form).  A :class:`SyntheticData` payload crosses the wire as
+its (seed, size) *description*, not its materialized bytes, so
+byte-realistic load (and real-frame ledger pricing) uses
+:class:`RealData`.
 """
 
 from __future__ import annotations
 
-import operator
 import struct
 from typing import Any, Callable, Dict, NamedTuple, Optional, Tuple
 
@@ -80,10 +76,7 @@ from repro.live.transport import (
 
 #: First byte of every payload: a peer speaking another version (or
 #: another format altogether) is refused on it.
-WIRE_VERSION = 2
-#: A tagged value may nest this deep inside its field; the deepest
-#: telemetry reply tier-1 ships uses 5.
-MAX_DEPTH = 32
+WIRE_VERSION = 3
 #: Longest varint: ten 7-bit groups, so 70 bits.
 VARINT_BYTES = 10
 _VARINT_LIMIT = 1 << (7 * VARINT_BYTES)
@@ -91,8 +84,6 @@ _VARINT_LIMIT = 1 << (7 * VARINT_BYTES)
 SYNTHETIC, REAL, FAST_KEY, RSA_KEY = 0x10, 0x11, 0x12, 0x13
 _TRACEPARENT_BYTES = 26
 
-_U32 = struct.Struct(">I")
-_I64 = struct.Struct(">q")
 _F64 = struct.Struct(">d")
 
 Write = Callable[[bytearray, Any], None]
@@ -164,212 +155,6 @@ def _take_count(data: bytes, pos: int, least: int) -> Tuple[int, int]:
 def _put_run(out: bytearray, raw: bytes) -> None:
     _put_varint(out, len(raw))
     out += raw
-
-
-# ---------------------------------------------------------------------- #
-# the tagged value grammar (DICT, INSTANT and WINDOW fields)
-# ---------------------------------------------------------------------- #
-
-GrammarWrite = Callable[[bytearray, Any, int], None]
-GrammarRead = Callable[[bytes, int, int], Tuple[Any, int]]
-
-
-def _write_value(out: bytearray, value: Any, depth: int) -> None:
-    if depth > MAX_DEPTH:
-        raise CodecError(f"value nests deeper than {MAX_DEPTH} levels")
-    forms = _FORMS_OF.get(type(value))
-    if forms is None:
-        forms = _inherited_forms(type(value))
-    for tag, fits, write in forms:
-        if fits is None or fits(value):
-            out.append(tag)
-            write(out, value, depth)
-            return
-    raise CodecError(f"no wire form fits this {type(value).__name__}")
-
-
-def _inherited_forms(cls: type) -> tuple:
-    """Forms of the nearest registered base (a namedtuple, an IntEnum,
-    an OrderedDict); a class with none is not serializable."""
-    for base in cls.__mro__[1:]:
-        if base in _FORMS_OF:
-            return _FORMS_OF[base]
-    raise CodecError(f"cannot serialize {cls.__name__} on the wire")
-
-
-def _write_nothing(out: bytearray, value: Any, depth: int) -> None:
-    pass
-
-
-def _write_int64(out: bytearray, value: int, depth: int) -> None:
-    out += _I64.pack(value)
-
-
-def _write_bigint(out: bytearray, value: int, depth: int) -> None:
-    # +8, not +7: a signed form needs room for the sign bit.
-    _write_raw(out, value.to_bytes((value.bit_length() + 8) // 8, "big",
-                                   signed=True), depth)
-
-
-def _write_float(out: bytearray, value: float, depth: int) -> None:
-    out += _F64.pack(value)
-
-
-def _write_str(out: bytearray, value: str, depth: int) -> None:
-    _write_raw(out, value.encode("utf-8"), depth)
-
-
-def _write_raw(out: bytearray, value: bytes, depth: int) -> None:
-    out += _U32.pack(len(value))
-    out += value
-
-
-def _write_list(out: bytearray, value: Any, depth: int) -> None:
-    out += _U32.pack(len(value))
-    for item in value:
-        _write_value(out, item, depth + 1)
-
-
-def _write_dict(out: bytearray, value: dict, depth: int) -> None:
-    out += _U32.pack(len(value))
-    for key, item in value.items():
-        if not isinstance(key, str):
-            raise CodecError(f"non-string dict key on the wire: {key!r}")
-        _write_str(out, key, depth)
-        _write_value(out, item, depth + 1)
-
-
-def _read_value(data: bytes, pos: int, depth: int) -> Tuple[Any, int]:
-    if depth > MAX_DEPTH:
-        raise CodecError(f"value nests deeper than {MAX_DEPTH} levels")
-    if pos >= len(data):
-        raise CodecError(f"payload ends where a value should start (byte {pos})")
-    read = _READERS.get(data[pos])
-    if read is None:
-        raise CodecError(f"unknown wire tag 0x{data[pos]:02x} at byte {pos}")
-    return read(data, pos + 1, depth)
-
-
-def _read_fixed(data: bytes, pos: int, layout: struct.Struct) -> Tuple[Any, int]:
-    end = pos + layout.size
-    if end > len(data):
-        raise CodecError(
-            f"{layout.size} bytes needed at byte {pos}, {len(data) - pos} remain"
-        )
-    return layout.unpack_from(data, pos)[0], end
-
-
-def _read_u32_count(data: bytes, pos: int, unit: int) -> Tuple[int, int]:
-    count, start = _read_fixed(data, pos, _U32)
-    if count * unit > len(data) - start:
-        raise CodecError(
-            f"{count} elements declared at byte {pos}, "
-            f"{len(data) - start} bytes remain"
-        )
-    return count, start
-
-
-def _read_u32_span(data: bytes, pos: int) -> Tuple[int, int]:
-    start = pos + 4
-    if start > len(data):
-        raise CodecError(f"payload ends inside the length at byte {pos}")
-    end = start + _U32.unpack_from(data, pos)[0]
-    if end > len(data):
-        raise CodecError(
-            f"{end - start} bytes declared at byte {pos}, "
-            f"{len(data) - start} remain"
-        )
-    return start, end
-
-
-def _constant(value: Any) -> GrammarRead:
-    return lambda data, pos, depth: (value, pos)
-
-
-def _read_int64(data: bytes, pos: int, depth: int) -> Tuple[int, int]:
-    return _read_fixed(data, pos, _I64)
-
-
-def _read_bigint(data: bytes, pos: int, depth: int) -> Tuple[int, int]:
-    start, end = _read_u32_span(data, pos)
-    return int.from_bytes(data[start:end], "big", signed=True), end
-
-
-def _read_float(data: bytes, pos: int, depth: int) -> Tuple[float, int]:
-    return _read_fixed(data, pos, _F64)
-
-
-def _read_str(data: bytes, pos: int, depth: int) -> Tuple[str, int]:
-    start, end = _read_u32_span(data, pos)
-    return str(data[start:end], "utf-8"), end
-
-
-def _read_raw(data: bytes, pos: int, depth: int) -> Tuple[bytes, int]:
-    start, end = _read_u32_span(data, pos)
-    return data[start:end], end
-
-
-def _read_list(data: bytes, pos: int, depth: int) -> Tuple[list, int]:
-    count, pos = _read_u32_count(data, pos, unit=1)  # a value is >= its tag
-    items = []
-    for _ in range(count):
-        item, pos = _read_value(data, pos, depth + 1)
-        items.append(item)
-    return items, pos
-
-
-def _read_dict(data: bytes, pos: int, depth: int) -> Tuple[dict, int]:
-    count, pos = _read_u32_count(data, pos, unit=5)  # key length + value tag
-    entries: Dict[str, Any] = {}
-    for _ in range(count):
-        start, end = _read_u32_span(data, pos)
-        key = str(data[start:end], "utf-8")
-        entries[key], pos = _read_value(data, end, depth + 1)
-    if len(entries) != count:
-        raise CodecError("dict repeats a key")
-    return entries, pos
-
-
-class WireForm(NamedTuple):
-    """One row of the tagged grammar: *tag* carries a *type*.  Where one
-    type has several forms, the first row (in table order) whose *fits*
-    accepts the value is the one written."""
-
-    tag: int
-    type: type
-    write: GrammarWrite
-    read: GrammarRead
-    fits: Optional[Callable[[Any], bool]] = None
-
-
-def _in_int64(value: int) -> bool:
-    return -0x8000_0000_0000_0000 <= value <= 0x7FFF_FFFF_FFFF_FFFF
-
-
-WIRE_FORMS: Tuple[WireForm, ...] = (
-    WireForm(0x00, type(None), _write_nothing, _constant(None)),
-    WireForm(0x01, bool, _write_nothing, _constant(False), operator.not_),
-    WireForm(0x02, bool, _write_nothing, _constant(True)),
-    WireForm(0x03, int, _write_int64, _read_int64, _in_int64),
-    WireForm(0x04, int, _write_bigint, _read_bigint),
-    WireForm(0x05, float, _write_float, _read_float),
-    WireForm(0x06, str, _write_str, _read_str),
-    WireForm(0x07, bytes, _write_raw, _read_raw),
-    WireForm(0x08, list, _write_list, _read_list),
-    WireForm(0x09, dict, _write_dict, _read_dict),
-)
-
-_READERS: Dict[int, GrammarRead] = {form.tag: form.read for form in WIRE_FORMS}
-if len(_READERS) != len(WIRE_FORMS):
-    raise RuntimeError("two rows of WIRE_FORMS share a tag")
-
-_FORMS_OF: Dict[type, tuple] = {}
-for _form in WIRE_FORMS:
-    _FORMS_OF[_form.type] = _FORMS_OF.get(_form.type, ()) + (
-        (_form.tag, _form.fits, _form.write),
-    )
-# Tuples normalise to lists: the wire has one sequence form.
-_FORMS_OF[tuple] = _FORMS_OF[list]
 
 
 # ---------------------------------------------------------------------- #
@@ -459,14 +244,6 @@ def _write_magnitude(out: bytearray, value: Any) -> None:
 def _read_magnitude(data: bytes, pos: int) -> Tuple[int, int]:
     start, end = _take_span(data, pos)
     return int.from_bytes(data[start:end], "big"), end
-
-
-def _write_tagged(out: bytearray, value: Any) -> None:
-    _write_value(out, value, 0)
-
-
-def _read_tagged(data: bytes, pos: int) -> Tuple[Any, int]:
-    return _read_value(data, pos, 0)
 
 
 _ID = _fixed_int(16, "id")
@@ -589,19 +366,38 @@ def _maybe_form(item: Form) -> Form:
     return Form(write, read, 1)
 
 
-def _pair_form(first: Form, second: Form) -> Form:
+def _row_form(*items: Form) -> Form:
+    """A fixed record: each of its values by its own form, in order."""
+    width = len(items)
+
     def write(out: bytearray, value: Any) -> None:
-        if type(value) not in (list, tuple) or len(value) != 2:
-            _refuse("pair", value)
-        first.write(out, value[0])
-        second.write(out, value[1])
+        if type(value) not in (list, tuple) or len(value) != width:
+            _refuse("row", value)
+        for item, entry in zip(items, value):
+            item.write(out, entry)
 
     def read(data: bytes, pos: int) -> Tuple[list, int]:
-        left, pos = first.read(data, pos)
-        right, pos = second.read(data, pos)
-        return [left, right], pos
+        entries = []
+        for item in items:
+            entry, pos = item.read(data, pos)
+            entries.append(entry)
+        return entries, pos
 
-    return Form(write, read, first.least + second.least)
+    return Form(write, read, sum(item.least for item in items))
+
+
+def _write_float(out: bytearray, value: Any) -> None:
+    if type(value) is not float:
+        _refuse("float", value)
+    out += _F64.pack(value)
+
+
+def _read_float(data: bytes, pos: int) -> Tuple[float, int]:
+    end = pos + _F64.size
+    if end > len(data):
+        raise CodecError(f"{_F64.size} bytes needed at byte {pos}, "
+                         f"{len(data) - pos} remain")
+    return _F64.unpack_from(data, pos)[0], end
 
 
 #: Every form a field type may name, called with the forms of its items.
@@ -611,14 +407,14 @@ FIELD_FORMS: Dict[str, Callable[..., Form]] = {
     "int": lambda: Form(_write_zigzag, _read_zigzag, 1),
     "uint": lambda: Form(_write_uint, _take_varint, 1),
     "bool": lambda: Form(_write_bool, _read_flag, 1),
+    "float": lambda: Form(_write_float, _read_float, _F64.size),
     "str": lambda: Form(_write_text, _read_text, 1),
     "address": lambda: Form(_write_magnitude, _read_magnitude, 1),
     "data": lambda: Form(_write_data, _read_data, 2),
     "certificate": _certificate_form,
-    "value": lambda: Form(_write_tagged, _read_tagged, 1),
     "list": _list_form,
     "maybe": _maybe_form,
-    "pair": _pair_form,
+    "row": _row_form,
 }
 
 
@@ -685,7 +481,7 @@ def _shapes() -> Tuple[Shape, ...]:
     return tuple(shapes)
 
 
-#: Shape id -> shape: the 16 non-route kinds and the 4 route purposes.
+#: Shape id -> shape: the 14 non-route kinds and the 4 route purposes.
 SHAPES: Tuple[Shape, ...] = _shapes()
 _SHAPE_OF_KIND = {shape.kind: shape for shape in SHAPES if shape.purpose is None}
 _SHAPE_OF_PURPOSE = {shape.purpose: shape for shape in SHAPES
@@ -759,7 +555,7 @@ def encode_message(message: Message) -> bytes:
         raise
     except (AttributeError, TypeError, ValueError, OverflowError) as exc:
         # A value the forms cannot write: an envelope that is not one,
-        # a str that is not UTF-8, a tagged value past its width.
+        # a str that is not UTF-8.
         raise CodecError(f"{kind} payload: {exc}") from exc
     if written != len(payload):
         raise CodecError(f"{kind} payload carries fields its shape has not: "

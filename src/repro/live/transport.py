@@ -153,7 +153,7 @@ class Field(NamedTuple):
     mailbox; types are exact (a bool is no int).  *form* names how the
     wire writes it (``live/net/codec.py`` derives each kind's writer and
     reader from these), and *items* are the field types a composite form
-    is built from: a list's element, a maybe's value, a pair's halves."""
+    is built from: a list's element, a maybe's value, a row's fields."""
 
     fits: Callable[[Any, Container], bool]
     form: str
@@ -193,22 +193,29 @@ def _maybe(field: Field) -> Field:
     return Field(fits, "maybe", (field,))
 
 
-def _number_in(low: float, high: float) -> Field:
+def _row_of(*items: Field) -> Field:
+    """A fixed record: a list of exactly ``len(items)`` values, the
+    *i*-th of field type ``items[i]``."""
+    width = len(items)
+
     def fits(value: Any, registered: Container) -> bool:
-        return type(value) in (int, float) and low <= value <= high
-    return Field(fits, "value")
+        if type(value) is not list or len(value) != width:
+            return False
+        for item, entry in zip(items, value):
+            if not item.fits(entry, registered):
+                return False
+        return True
+    return Field(fits, "row", items)
 
 
-BOOL, STR, DICT = _typed(bool, "bool"), _typed(str, "str"), _typed(dict, "value")
+BOOL, STR = _typed(bool, "bool"), _typed(str, "str")
+#: Any IEEE 754 binary64 value (a gauge level, a histogram sample).
+FLOAT = _typed(float, "float")
 _ID_LIMIT = 1 << NODE_ID_BITS
 #: A routed key; node ids share its 128-bit space.
 ID = _below(_ID_LIMIT, "id")
 #: FileIds and content hashes: 160 bits.
 FILE_ID = _below(1 << FILE_ID_BITS, "file-id")
-#: A telemetry instant and window width, bounded so that the window
-#: index ``instant / window`` is a finite float.
-INSTANT = _number_in(0, 1 << 32)
-WINDOW = _number_in(2.0 ** -32, 1 << 32)
 
 
 def _int(value: Any, registered: Container) -> bool:
@@ -234,16 +241,9 @@ NODE = Field(_node, "id")
 #: Any registered address; a collector's lies outside the id space.
 ADDRESS = Field(_address, "address")
 NODES = _list_of(NODE)
-_CELLS = _list_of(_maybe(NODE))
-
-
-def _row(value: Any, registered: Container) -> bool:
-    return (type(value) is list and len(value) == 2 and type(value[0]) is int
-            and _CELLS.fits(value[1], registered))
-
 
 #: One routing-table row a join route collected: ``[index, cells]``.
-ROW = Field(_row, "pair", (INT, _CELLS))
+ROW = _row_of(INT, _list_of(_maybe(NODE)))
 ROWS = _list_of(ROW)
 
 
@@ -320,6 +320,33 @@ class LiveKind(NamedTuple):
 
 
 _NODE_REPLY = {"request_id": INT, "node": STR}
+#: A node's structural state, as both telemetry replies carry it ...
+_STATE = {"joined": BOOL, "known_nodes": INT, "leaf_set": INT,
+          "mailbox_depth": INT}
+#: ... and its file store's, where it has one.
+_STORE = {"store_files": INT, "store_bytes": INT}
+_LABELS = _list_of(_row_of(STR, STR))
+#: A registry export (``MetricsRegistry.export``): counter, gauge and
+#: histogram rows of (name, label pairs, value), then (name, HELP) pairs.
+REGISTRY = _row_of(
+    _list_of(_row_of(STR, _LABELS, INT)),
+    _list_of(_row_of(STR, _LABELS, FLOAT)),
+    _list_of(_row_of(STR, _LABELS, _list_of(FLOAT))),
+    _list_of(_row_of(STR, STR)),
+)
+#: A ledger summary (``CostLedger.summary_row``): total messages and
+#: bytes, (category, bytes) pairs, unpriced messages, and the costliest
+#: senders as (address, bytes) pairs.
+LEDGER = _row_of(INT, INT, _list_of(_row_of(STR, INT)), INT,
+                 _list_of(_row_of(ADDRESS, INT)))
+#: The keys of :meth:`TransportBase.wire_stats`, in the order a health
+#: report's ``wire`` row carries their values; the last three only a
+#: socket transport has (None in the row where they are absent).
+WIRE_STATS = ("transport", "endpoints", "links", "poisoned_connections",
+              "resynced_bytes", "send_queue_depth", "in_flight",
+              "sends_timed_out", "messages_sent", "messages_dropped",
+              "bytes_sent", "frames_delivered", "frames_discarded")
+WIRE = _row_of(STR, *(INT,) * 9, *(_maybe(INT),) * 3)
 
 #: Every live kind, written once.  The wire codec is generated from it
 #: (table order numbers the shapes; schema order is field order), and
@@ -345,21 +372,15 @@ LIVE_KINDS: Dict[str, LiveKind] = {
     "lookup-result": LiveKind(NODE, Schema(
         {"request_id": INT, "certificate": _maybe(CERTIFICATE),
          "data": _maybe(DATA), "serving_node": NODE})),
-    "telemetry-scrape": LiveKind(ADDRESS, Schema(
-        {"request_id": INT, "spans": INT})),
-    "telemetry-subscribe": LiveKind(ADDRESS, Schema(
-        {"request_id": INT, "since": _maybe(INT), "window": WINDOW},
-        {"at": INSTANT})),
+    "telemetry-scrape": LiveKind(ADDRESS, Schema({"request_id": INT})),
     "health-probe": LiveKind(ADDRESS, Schema({"request_id": INT})),
     "telemetry-snapshot": LiveKind(NODE, Schema(
-        {**_NODE_REPLY, "state": DICT},
-        {"registry": DICT, "ledger": DICT, "spans": _list_of(DICT)})),
-    "telemetry-series": LiveKind(NODE, Schema(_NODE_REPLY, {"series": DICT})),
+        {**_NODE_REPLY, **_STATE},
+        {**_STORE, "registry": REGISTRY, "ledger": LEDGER})),
     "health-report": LiveKind(NODE, Schema(
-        {**_NODE_REPLY, "healthy": BOOL, "checks": DICT,
-         "mailbox_depth": INT, "mailbox_limit": INT, "in_flight": INT,
-         "resynced_bytes": INT, "send_queue_depth": INT, "pool": DICT,
-         "state": DICT})),
+        {**_NODE_REPLY, **_STATE, "healthy": BOOL, "running": BOOL,
+         "mailbox_headroom": BOOL, "mailbox_limit": INT, "wire": WIRE},
+        _STORE)),
 }
 
 
@@ -504,7 +525,10 @@ class TransportBase:
         The base transport has no physical wire, so its socket-specific
         fields are structurally present but zero -- both transports
         publish the *same* gauge families, which is what keeps the
-        cross-transport federated snapshots comparable.
+        cross-transport federated snapshots comparable.  The socket's
+        own counters (the last three of :data:`WIRE_STATS`) are absent
+        here, not zero: their absence is how a reader tells the two
+        transports apart.
         """
         return {
             "transport": type(self).__name__,

@@ -54,8 +54,6 @@ from repro.obs.timeseries import (
     TimeSeriesRecorder,
     WindowedHistogram,
     WindowedSeries,
-    extend_snapshot,
-    merge_snapshots,
 )
 
 __all__ = [
@@ -91,9 +89,7 @@ __all__ = [
     "evaluate_chaos_slo",
     "evaluate_load_slo",
     "evaluate_slo",
-    "extend_snapshot",
     "format_verdict",
-    "merge_snapshots",
     "parse_slo",
     "render_console",
     "validate_jsonl",

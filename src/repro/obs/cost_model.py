@@ -102,13 +102,10 @@ MESSAGE_COSTS: Dict[str, Tuple[str, int]] = {
     # --- telemetry plane (obs/telemetry.py + live/cluster.py) ---------- #
     # Requests carry a request id (one key); replies carry structured
     # payloads whose budgeted sizes are deliberate caps, not averages: a
-    # full registry export (~4 KiB), one incremental series window
-    # (~2 KiB), one health verdict (~512 B).
+    # full registry export (~4 KiB), one health verdict (~512 B).
     "telemetry-scrape": (CATEGORY_CONTROL, _KEY_BYTES),
-    "telemetry-subscribe": (CATEGORY_CONTROL, _KEY_BYTES + ID_BYTES),
     "health-probe": (CATEGORY_CONTROL, _KEY_BYTES),
     "telemetry-snapshot": (CATEGORY_CONTROL, WIRE_HEADER_BYTES + 4096),
-    "telemetry-series": (CATEGORY_CONTROL, WIRE_HEADER_BYTES + 2048),
     "health-report": (CATEGORY_CONTROL, WIRE_HEADER_BYTES + 512),
 }
 

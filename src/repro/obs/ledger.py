@@ -228,9 +228,35 @@ class CostLedger:
             "top_nodes": self.top_nodes(top),
         }
 
+    def summary_row(self, top: int = 5) -> list:
+        """:meth:`summary` as the fixed row a telemetry snapshot carries,
+        its two maps as pairs; :func:`summary_of_row` inverts it."""
+        summary = self.summary(top)
+        return [
+            summary["total_messages"],
+            summary["total_bytes"],
+            [[category, spent]
+             for category, spent in summary["by_category_bytes"].items()],
+            summary["unpriced_messages"],
+            [[row["node"], row["bytes"]] for row in summary["top_nodes"]],
+        ]
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"CostLedger(messages={self.total_messages()}, "
             f"bytes={self.total_bytes()}, "
             f"categories={len(self._by_category)})"
         )
+
+
+def summary_of_row(row: list) -> dict:
+    """The :meth:`CostLedger.summary` dict a :meth:`~CostLedger.summary_row`
+    was made from."""
+    total_messages, total_bytes, by_category, unpriced, top_nodes = row
+    return {
+        "total_messages": total_messages,
+        "total_bytes": total_bytes,
+        "by_category_bytes": dict(by_category),
+        "unpriced_messages": unpriced,
+        "top_nodes": [{"node": node, "bytes": spent} for node, spent in top_nodes],
+    }

@@ -313,51 +313,48 @@ class MetricsRegistry:
     # structured export / federation (telemetry plane)
     # ------------------------------------------------------------------ #
 
-    def export(self) -> dict:
-        """A plain-JSON structural dump: names, label pairs, raw values
-        -- and for histograms the full sample lists, so a federating
-        reader recovers exact percentiles.  Unlike :meth:`snapshot`,
-        nothing is folded into display names: a remote scraper rebuilds
-        real instruments from this via :meth:`absorb`."""
-        return {
-            "counters": [
-                [counter.name, [list(item) for item in counter.labels],
-                 counter.value]
-                for _, counter in sorted(self._counters.items())
-            ],
-            "gauges": [
-                [gauge.name, [list(item) for item in gauge.labels], gauge.value]
-                for _, gauge in sorted(self._gauges.items())
-            ],
-            "histograms": [
-                [histogram.name, [list(item) for item in histogram.labels],
-                 list(histogram.samples)]
-                for _, histogram in sorted(self._histograms.items())
-            ],
-            "help": dict(sorted(self._help.items())),
-        }
+    def export(self) -> list:
+        """A structural dump as the typed rows a telemetry snapshot
+        carries: counter, gauge and histogram rows of ``[name, label
+        pairs, value]`` -- for a histogram its full sample list, so a
+        federating reader recovers exact percentiles -- then ``[name,
+        HELP]`` pairs.  Gauge levels and samples travel as floats.
+        Unlike :meth:`snapshot`, nothing is folded into display names: a
+        remote scraper rebuilds real instruments from this via
+        :meth:`absorb`."""
+        def labels(instrument) -> list:
+            return [list(item) for item in instrument.labels]
 
-    def absorb(self, export: dict,
+        return [
+            [[counter.name, labels(counter), counter.value]
+             for _, counter in sorted(self._counters.items())],
+            [[gauge.name, labels(gauge), float(gauge.value)]
+             for _, gauge in sorted(self._gauges.items())],
+            [[histogram.name, labels(histogram),
+              [float(sample) for sample in histogram.samples]]
+             for _, histogram in sorted(self._histograms.items())],
+            [[name, help_text] for name, help_text in sorted(self._help.items())],
+        ]
+
+    def absorb(self, export: list,
                extra_labels: Optional[Dict[str, str]] = None) -> None:
         """Fold an :meth:`export` into this registry, optionally adding
         labels (the telemetry collector adds ``node="<id>"`` so N nodes'
         instruments coexist in one federated registry).  Counter values
         add, gauge values overwrite, histogram samples append; HELP
         texts install without displacing existing ones."""
-        extra = {str(k): str(v) for k, v in (extra_labels or {}).items()}
-        for name, items, value in export.get("counters", []):
-            labels = {str(k): str(v) for k, v in items}
-            labels.update(extra)
-            self.counter(name, **labels).increment(value)
-        for name, items, value in export.get("gauges", []):
-            labels = {str(k): str(v) for k, v in items}
-            labels.update(extra)
-            self.gauge(name, **labels).set(value)
-        for name, items, samples in export.get("histograms", []):
-            labels = {str(k): str(v) for k, v in items}
-            labels.update(extra)
-            self.histogram(name, **labels).extend(samples)
-        for name, help_text in export.get("help", {}).items():
+        counters, gauges, histograms, help_texts = export
+
+        def labels(items: list) -> Dict[str, str]:
+            return {**dict(items), **(extra_labels or {})}
+
+        for name, items, value in counters:
+            self.counter(name, **labels(items)).increment(value)
+        for name, items, value in gauges:
+            self.gauge(name, **labels(items)).set(value)
+        for name, items, samples in histograms:
+            self.histogram(name, **labels(items)).extend(samples)
+        for name, help_text in help_texts:
             if name not in self._help:
                 self.describe(name, help_text)
 

@@ -57,10 +57,6 @@ class Observer:
         # Runtime twin of lint rule CONF001: an unpriced kind bumps a
         # visible counter on every charge and warns (as an event) once.
         self.ledger.on_unpriced = self._record_unpriced
-        # Optional TimeSeriesRecorder (obs/timeseries): drivers that
-        # sample metrics into windowed series install one here so the
-        # telemetry plane and SLO burn rates can find it.
-        self.timeseries = None
 
     def _record_unpriced(
         self, kind: str, category: str, fallback_bytes: int, first: bool
@@ -118,7 +114,6 @@ class NullObserver:
     clock = None
     traces = None
     ledger = None
-    timeseries = None
 
     def emit(self, event: Event) -> None:
         pass

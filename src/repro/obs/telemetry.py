@@ -2,31 +2,34 @@
 
 A :class:`TelemetryCollector` registers a *client address* on the
 cluster's transport -- over :class:`~repro.live.net.SocketTransport`
-that is a real TCP listener -- and talks the three priced telemetry
-message kinds to every node:
+that is a real TCP listener -- and talks the two priced telemetry
+request/reply kinds to every node:
 
-* ``telemetry-scrape``    -> ``telemetry-snapshot``: the node's full
-  registry export (structured, not text), its ledger summary, a node
-  state section, and optionally a batch of recent span records;
-* ``telemetry-subscribe`` -> ``telemetry-series``: the node's windowed
-  time-series, incrementally (``since`` carries the last window index
-  the collector has, so a steady-state round ships one window);
-* ``health-probe``        -> ``health-report``: a structured verdict
-  (running/joined, mailbox depth vs. limit, pool state,
-  ``resynced_bytes``, in-flight counts).
+* ``telemetry-scrape`` -> ``telemetry-snapshot``: the node's registry
+  export as typed rows (structured, not text), its ledger summary as
+  one fixed row, and its state as fixed fields;
+* ``health-probe``     -> ``health-report``: a structured verdict
+  (running/joined/mailbox headroom, mailbox depth vs. limit, the
+  transport's wire stats as one fixed row).
 
-Scrapes fold into one **federated registry**: every remote instrument
-reappears here with a ``node="<hex id>"`` label added, so
-:meth:`TelemetryCollector.to_prometheus` renders a single exposition
-for the whole cluster that passes the strict
-:func:`repro.obs.validate.check_prometheus_text` parser.  Federation
-rebuilds from the latest per-node exports each time -- re-scraping a
-node replaces its contribution instead of double counting.
+Both replies are values of declared shapes (``LIVE_KINDS``); the
+collector rebuilds the dicts its callers read.  Scrapes fold into one
+**federated registry**: every remote instrument reappears here with a
+``node="<hex id>"`` label added, so :meth:`TelemetryCollector.to_prometheus`
+renders a single exposition for the whole cluster that passes the
+strict :func:`repro.obs.validate.check_prometheus_text` parser.
+Federation rebuilds from the latest per-node exports each time --
+re-scraping a node replaces its contribution instead of double counting.
+
+Windowed series are sampled here, not on the nodes: the collector owns
+one :class:`~repro.obs.timeseries.TimeSeriesRecorder` and, at the
+instant its caller names (:meth:`TelemetryCollector.sample`), files the
+federated registry into it, under the exposition's names.
 
 Determinism: nodes are scraped sequentially in sorted-id order, and the
-collector drives the sampling clock (``at = round * window``), so two
-same-seed runs -- and the same workload over both transports -- produce
-byte-identical federated snapshots modulo the node labels.
+caller drives the sampling clock, so two same-seed runs -- and the same
+workload over both transports -- produce byte-identical federated
+snapshots and series modulo the node labels.
 """
 
 from __future__ import annotations
@@ -34,9 +37,10 @@ from __future__ import annotations
 import itertools
 from typing import Dict, List, Optional
 
-from repro.live.transport import Message
+from repro.live.transport import WIRE_STATS, Message
+from repro.obs.ledger import summary_of_row
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.timeseries import extend_snapshot, merge_snapshots
+from repro.obs.timeseries import TimeSeriesRecorder
 
 #: Collector addresses live far outside the 128-bit nodeId space, so a
 #: collector can never collide with (or be mistaken for) an overlay
@@ -44,7 +48,7 @@ from repro.obs.timeseries import extend_snapshot, merge_snapshots
 COLLECTOR_ADDRESS_BASE = 1 << 130
 
 #: HELP texts for the families the collector itself synthesizes from
-#: the per-node state sections of scrape replies.
+#: the per-node state fields of scrape replies.
 TELEMETRY_METRIC_HELP = {
     "node.joined": "Whether the node completed its join (1) or not (0).",
     "node.known_nodes": "Overlay nodes known to this node's state.",
@@ -53,6 +57,12 @@ TELEMETRY_METRIC_HELP = {
     "node.store_files": "Replicas held in this node's file store.",
     "node.store_bytes": "Bytes held in this node's file store.",
 }
+#: The state fields of both replies, in the order a state dict lists them.
+STATE_FIELDS = tuple(name[len("node."):] for name in TELEMETRY_METRIC_HELP)
+
+
+def _state_of(payload: dict) -> dict:
+    return {name: payload[name] for name in STATE_FIELDS if name in payload}
 
 
 class TelemetryError(RuntimeError):
@@ -60,7 +70,7 @@ class TelemetryError(RuntimeError):
 
 
 class TelemetryCollector:
-    """Scrapes and streams one live cluster into a federated view."""
+    """Scrapes one live cluster into a federated view and its series."""
 
     def __init__(self, cluster, address: Optional[int] = None,
                  timeout: float = 10.0, window: float = 5.0) -> None:
@@ -73,17 +83,15 @@ class TelemetryCollector:
         self.address = address
         self.transport.register(address)
         self.timeout = timeout
-        #: Logical window width the collector samples remote series at.
-        self.window = window
+        #: The federated registry sampled into windows of *window*
+        #: logical seconds.
+        self.timeseries = TimeSeriesRecorder(window=window)
         self._request_ids = itertools.count(1)
         # Latest per-node artifacts, keyed by the node's hex label.
-        self._exports: Dict[str, dict] = {}
+        self._exports: Dict[str, list] = {}
         self._states: Dict[str, dict] = {}
         self.ledgers: Dict[str, dict] = {}
-        self.series: Dict[str, dict] = {}
-        self.spans: Dict[str, list] = {}
         self.health: Dict[str, dict] = {}
-        self._since: Dict[str, int] = {}
         self.scrapes = 0
 
     # ------------------------------------------------------------------ #
@@ -97,8 +105,7 @@ class TelemetryCollector:
     def _targets(self) -> List[int]:
         return self.cluster.live_ids()
 
-    async def _request(self, node_id: int, kind: str, body: dict,
-                       reply_kind: str) -> dict:
+    async def _request(self, node_id: int, kind: str, reply_kind: str) -> dict:
         """One request/reply round over the live wire.
 
         Replies are matched by (kind, request_id); a stale reply from an
@@ -107,7 +114,7 @@ class TelemetryCollector:
         """
         request_id = next(self._request_ids)
         message = Message(kind=kind, sender=self.address,
-                          payload=dict(body, request_id=request_id))
+                          payload={"request_id": request_id})
         result = await self.transport.send(node_id, message)
         if not result:
             raise TelemetryError(
@@ -132,28 +139,25 @@ class TelemetryCollector:
     # scrape: full snapshots
     # ------------------------------------------------------------------ #
 
-    async def scrape(self, node_id: int, spans: int = 0) -> dict:
-        """Scrape one node; folds its registry export, state section,
-        ledger summary and (optionally) last *spans* span records into
-        the collector's per-node tables."""
+    async def scrape(self, node_id: int) -> dict:
+        """Scrape one node; folds its registry export, state fields and
+        ledger summary into the collector's per-node tables."""
         payload = await self._request(
-            node_id, "telemetry-scrape", {"spans": spans}, "telemetry-snapshot"
+            node_id, "telemetry-scrape", "telemetry-snapshot"
         )
         label = payload["node"]
         if "registry" in payload:
             self._exports[label] = payload["registry"]
-            self._states[label] = payload["state"]
-            self.ledgers[label] = payload["ledger"]
-            if "spans" in payload:
-                self.spans[label] = payload["spans"]
+            self._states[label] = _state_of(payload)
+            self.ledgers[label] = summary_of_row(payload["ledger"])
         self.scrapes += 1
         return payload
 
-    async def scrape_all(self, spans: int = 0) -> dict:
+    async def scrape_all(self) -> dict:
         """Scrape every live node (sorted order) and return the
         federated snapshot."""
         for node_id in self._targets():
-            await self.scrape(node_id, spans=spans)
+            await self.scrape(node_id)
         return self.federated_snapshot()
 
     def federated_registry(self) -> MetricsRegistry:
@@ -166,9 +170,7 @@ class TelemetryCollector:
             registry.describe(name, help_text)
         for label in sorted(self._exports):
             registry.absorb(self._exports[label], extra_labels={"node": label})
-            for key, value in sorted(self._states.get(label, {}).items()):
-                if isinstance(value, bool):
-                    value = 1.0 if value else 0.0
+            for key, value in sorted(self._states[label].items()):
                 registry.gauge(f"node.{key}", node=label).set(float(value))
         return registry
 
@@ -180,60 +182,38 @@ class TelemetryCollector:
         clean; see obs/validate.check_prometheus_text)."""
         return self.federated_registry().to_prometheus()
 
-    # ------------------------------------------------------------------ #
-    # subscribe: windowed series
-    # ------------------------------------------------------------------ #
-
-    async def subscribe(self, node_id: int,
-                        at: Optional[float] = None) -> dict:
-        """One incremental series round with *node_id*.
-
-        *at* is the logical sample instant (the collector's clock);
-        passing it makes the node sample its registry into the matching
-        window before answering, so the collector controls windowing --
-        live nodes have no injected clock of their own.
-        """
-        label = self.label_of(node_id)
-        # Ask for everything *including* the last window we have seen:
-        # a re-sample can land more data in it, and the fold replaces
-        # that window's rows, so re-shipping it is idempotent.
-        last = self._since.get(label)
-        body: dict = {
-            "since": (last - 1) if last is not None else None,
-            "window": self.window,
-        }
-        if at is not None:
-            body["at"] = float(at)
-        payload = await self._request(
-            node_id, "telemetry-subscribe", body, "telemetry-series"
-        )
-        series = payload.get("series")
-        if series is not None:
-            self.series[label] = extend_snapshot(self.series.get(label), series)
-            latest = int(series.get("latest_index", -1))
-            if latest >= 0:
-                self._since[label] = latest
-        return payload
-
-    async def subscribe_all(self, at: Optional[float] = None) -> dict:
-        for node_id in self._targets():
-            await self.subscribe(node_id, at=at)
-        return self.merged_series()
-
-    def merged_series(self) -> dict:
-        """The cluster-wide federated series (cross-node window merge)."""
-        return merge_snapshots(
-            self.series[label] for label in sorted(self.series)
-        )
+    def sample(self, at: float) -> int:
+        """File the federated registry of the latest scrapes into the
+        window covering the logical instant *at*; returns that window's
+        index.  The series is ``self.timeseries.snapshot()``."""
+        return self.timeseries.sample(self.federated_registry(), at=at)
 
     # ------------------------------------------------------------------ #
     # probe: health verdicts
     # ------------------------------------------------------------------ #
 
     async def probe(self, node_id: int) -> dict:
-        verdict = await self._request(
-            node_id, "health-probe", {}, "health-report"
-        )
+        """Probe one node; returns (and keeps) its verdict as a dict:
+        the three checks under ``checks``, the wire stats under
+        ``pool`` (and its three pager facts beside it), the state
+        fields under ``state``."""
+        payload = await self._request(node_id, "health-probe", "health-report")
+        pool = {name: value for name, value in zip(WIRE_STATS, payload["wire"])
+                if value is not None}
+        verdict = {
+            "request_id": payload["request_id"],
+            "node": payload["node"],
+            "healthy": payload["healthy"],
+            "checks": {name: payload[name]
+                       for name in ("running", "joined", "mailbox_headroom")},
+            "mailbox_depth": payload["mailbox_depth"],
+            "mailbox_limit": payload["mailbox_limit"],
+            "in_flight": pool["in_flight"],
+            "resynced_bytes": pool["resynced_bytes"],
+            "send_queue_depth": pool["send_queue_depth"],
+            "pool": pool,
+            "state": _state_of(payload),
+        }
         self.health[verdict["node"]] = verdict
         return verdict
 

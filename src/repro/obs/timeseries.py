@@ -9,14 +9,11 @@ per series in a ring.
 Determinism rules, enforced by construction:
 
 * **No wall clock.**  Every sample takes an explicit ``at`` timestamp --
-  the simulation engine's clock in chaos runs, the telemetry
-  collector's logical window counter over the live wire.  Two seeded
-  runs that sample at the same logical instants produce byte-identical
+  the simulation engine's clock in chaos runs, the instant a telemetry
+  collector's caller names over the live wire.  Two seeded runs that
+  sample at the same logical instants produce byte-identical
   snapshots.
-* **Windows are integer indices** (``int(at / window)``), so series
-  from different nodes sampled at the same logical times align exactly
-  -- which is what makes the cross-node :meth:`WindowedHistogram.merge`
-  and :func:`merge_snapshots` federation well defined.
+* **Windows are integer indices** (``int(at / window)``).
 
 What lands in a window:
 
@@ -24,8 +21,7 @@ What lands in a window:
   previous sample), accumulated when one window is sampled twice;
 * **gauges** -- the last sampled value (a level, not a rate);
 * **histograms** -- the new samples that appeared since the previous
-  sample, kept verbatim (sorted) so windows merge across nodes by
-  concatenation without losing exact percentiles.
+  sample, kept verbatim (sorted), so per-window percentiles are exact.
 """
 
 from __future__ import annotations
@@ -91,8 +87,7 @@ class WindowedHistogram:
 
     Samples are kept verbatim (sorted per window), so any statistic the
     flat :class:`~repro.obs.metrics.Histogram` computes is recoverable
-    per window, and two nodes' windows federate losslessly via
-    :meth:`merge` -- concatenation, not moment arithmetic.
+    per window.
     """
 
     __slots__ = ("name", "capacity", "_windows")
@@ -121,17 +116,6 @@ class WindowedHistogram:
     def latest_index(self) -> Optional[int]:
         return max(self._windows) if self._windows else None
 
-    def merge(self, other: "WindowedHistogram") -> "WindowedHistogram":
-        """Cross-node federation: the union of both rings, samples
-        concatenated window by window (exact, order-independent)."""
-        merged = WindowedHistogram(
-            self.name, capacity=max(self.capacity, other.capacity)
-        )
-        for source in (self, other):
-            for index, samples in source.windows():
-                merged.extend(index, samples)
-        return merged
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"WindowedHistogram({self.name!r}, n={len(self._windows)})"
 
@@ -158,14 +142,6 @@ class TimeSeriesRecorder:
         self._counter_totals: Dict[str, float] = {}
         self._consumed: Dict[str, int] = {}
         self.samples_taken = 0
-
-    def configure_window(self, window: float) -> None:
-        """Adopt *window* as the window width if no samples have been
-        taken yet -- how a remote subscriber negotiates its scrape
-        cadence with a node's recorder.  Ignored after the first sample
-        (re-bucketing live rings would corrupt the indices)."""
-        if window > 0 and self.samples_taken == 0:
-            self.window = float(window)
 
     def window_index(self, at: float) -> int:
         return int(float(at) / self.window)
@@ -214,29 +190,20 @@ class TimeSeriesRecorder:
             return []
         return series.windows()
 
-    def snapshot(self, since: Optional[int] = None) -> dict:
+    def snapshot(self) -> dict:
         """A plain-JSON dump of every retained window, sorted (hence
-        byte-deterministic).  With *since*, only windows with an index
-        strictly greater are included -- the incremental contract the
-        ``telemetry-subscribe`` stream uses."""
-        def keep(index: int) -> bool:
-            return since is None or index > since
-
+        byte-deterministic)."""
         counters: Dict[str, List[List[float]]] = {}
         gauges: Dict[str, List[List[float]]] = {}
         for name in sorted(self._series):
             series = self._series[name]
-            rows = [[index, value] for index, value in series.windows()
-                    if keep(index)]
-            if rows:
-                (counters if series.kind == SERIES_COUNTER else gauges)[name] = rows
-        histograms: Dict[str, List[list]] = {}
-        for name in sorted(self._histograms):
-            rows = [[index, samples]
-                    for index, samples in self._histograms[name].windows()
-                    if keep(index)]
-            if rows:
-                histograms[name] = rows
+            (counters if series.kind == SERIES_COUNTER else gauges)[name] = [
+                [index, value] for index, value in series.windows()]
+        histograms: Dict[str, List[list]] = {
+            name: [[index, samples]
+                   for index, samples in self._histograms[name].windows()]
+            for name in sorted(self._histograms)
+        }
         latest = self.latest_index()
         return {
             "window_seconds": self.window,
@@ -246,76 +213,3 @@ class TimeSeriesRecorder:
             "gauges": gauges,
             "histograms": histograms,
         }
-
-
-def extend_snapshot(existing: Optional[dict], incoming: dict) -> dict:
-    """Fold an incremental snapshot (a ``telemetry-series`` reply) into
-    an accumulated one; returns the merged dict (never mutates inputs).
-
-    Counter rows for a window already seen are *replaced* -- the sender
-    re-serialized its ring, it did not re-count -- so replaying a window
-    is idempotent.
-    """
-    if existing is None:
-        return {key: (dict(value) if isinstance(value, dict) else value)
-                for key, value in incoming.items()}
-    merged = {key: (dict(value) if isinstance(value, dict) else value)
-              for key, value in existing.items()}
-    merged["latest_index"] = max(
-        int(existing.get("latest_index", -1)),
-        int(incoming.get("latest_index", -1)),
-    )
-    for section in ("counters", "gauges", "histograms"):
-        target = dict(merged.get(section, {}))
-        for name, rows in incoming.get(section, {}).items():
-            by_index = {int(row[0]): row[1] for row in target.get(name, [])}
-            for row in rows:
-                by_index[int(row[0])] = row[1]
-            target[name] = [[index, by_index[index]]
-                            for index in sorted(by_index)]
-        merged[section] = target
-    return merged
-
-
-def merge_snapshots(snapshots: Iterable[dict]) -> dict:
-    """Federate snapshots from several nodes into one cluster view.
-
-    Counter and gauge rows sum per (name, window); histogram windows
-    concatenate their sample lists (then sort), matching
-    :meth:`WindowedHistogram.merge`.  Input order does not matter.
-    """
-    merged: dict = {
-        "window_seconds": None,
-        "capacity": 0,
-        "latest_index": -1,
-        "counters": {},
-        "gauges": {},
-        "histograms": {},
-    }
-    for snapshot in snapshots:
-        if merged["window_seconds"] is None:
-            merged["window_seconds"] = snapshot.get("window_seconds")
-        merged["capacity"] = max(merged["capacity"],
-                                 int(snapshot.get("capacity", 0)))
-        merged["latest_index"] = max(merged["latest_index"],
-                                     int(snapshot.get("latest_index", -1)))
-        for section in ("counters", "gauges"):
-            target = merged[section]
-            for name, rows in snapshot.get(section, {}).items():
-                by_index = {int(row[0]): row[1] for row in target.get(name, [])}
-                for index, value in rows:
-                    by_index[int(index)] = by_index.get(int(index), 0.0) + value
-                target[name] = [[index, by_index[index]]
-                                for index in sorted(by_index)]
-        target = merged["histograms"]
-        for name, rows in snapshot.get("histograms", {}).items():
-            by_index = {int(row[0]): list(row[1]) for row in target.get(name, [])}
-            for index, samples in rows:
-                combined = by_index.get(int(index), []) + list(samples)
-                combined.sort()
-                by_index[int(index)] = combined
-            target[name] = [[index, by_index[index]]
-                            for index in sorted(by_index)]
-    if merged["window_seconds"] is None:
-        merged["window_seconds"] = DEFAULT_WINDOW
-    return merged

@@ -604,7 +604,7 @@ class TestClusterLifecycleOverSockets:
         ("announce", {}, 1),
         ("store-ack", {"request_id": 1 << 64, "ok": True}, None),
         ("announce", {}, "zero-trace-id"),
-        ("telemetry-scrape", {"request_id": 1, "spans": 0}, 1 << 131),
+        ("telemetry-scrape", {"request_id": 1}, 1 << 131),
     ], ids=["negative-id", "id-past-128-bits", "str-id", "unregistered-sender",
             "int-past-64-bits", "zero-trace-id", "unregistered-collector"])
     def test_foreign_frame_outside_the_kind_table_is_discarded(

@@ -3,11 +3,14 @@
 In-process coverage: the collector scrapes a live cluster through the
 priced telemetry message kinds, federates every node's registry under
 ``node=`` labels into one strict-parser-clean Prometheus exposition,
-streams windowed series incrementally, and renders health verdicts and
-console frames.  SLO parsing/evaluation and the multi-window burn-rate
-rule are pinned as unit facts.  The socket class re-runs the scrape
-workload over real TCP and demands byte-identical federated artifacts
--- the cross-transport parity the tentpole promises.
+samples that federated registry into windowed series, and renders
+health verdicts and console frames.  SLO parsing/evaluation and the
+multi-window burn-rate rule are pinned as unit facts, and ``repro
+load`` feeds its burn rates from windows one ``--scrape-interval``
+wide.  A registry export survives the wire exactly.  The socket class
+re-runs the scrape workload over real TCP and demands byte-identical
+federated artifacts -- the cross-transport parity the tentpole
+promises.
 """
 
 import asyncio
@@ -16,10 +19,14 @@ import random
 
 import pytest
 
+from repro.cli import main
 from repro.core.files import SyntheticData
 from repro.core.smartcard import make_uncertified_card
-from repro.live.net import SocketTransport
+from repro.live.net import SocketTransport, decode_message, encode_message
 from repro.live.storage import LiveStorageCluster
+from repro.live.transport import Message, well_formed
+from repro.obs import slo
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.slo import (
     CHAOS_SLO,
     DEFAULT_LOAD_SLO,
@@ -57,8 +64,8 @@ def make_certs(count, k=3, size=1500, seed=1):
 
 async def _collected_cluster(transport, nodes=8, files=4):
     """Boot, run a deterministic direct insert+lookup workload, then
-    scrape/subscribe/probe the whole cluster.  Returns plain JSON-able
-    artifacts plus per-node ledger summaries."""
+    scrape and probe the whole cluster and sample its series.  Returns
+    plain JSON-able artifacts plus per-node ledger summaries."""
     cluster = LiveStorageCluster(seed=23, transport=transport)
     await cluster.start(nodes, join_concurrency=1)
     collector = TelemetryCollector(cluster, window=1.0)
@@ -68,20 +75,18 @@ async def _collected_cluster(transport, nodes=8, files=4):
         assert result["success"]
         found = await cluster.lookup(certificate.file_id, origin)
         assert found["data"] == data
-    snapshot = await collector.scrape_all(spans=4)
-    series = await collector.subscribe_all(at=0.0)
+    snapshot = await collector.scrape_all()
+    collector.sample(at=0.0)
     health = await collector.probe_all()
     exposition = collector.to_prometheus()
     ledgers = dict(collector.ledgers)
-    spans = {label: list(batch) for label, batch in collector.spans.items()}
     await cluster.shutdown()
     return {
         "snapshot": snapshot,
-        "series": series,
+        "series": collector.timeseries.snapshot(),
         "health": health,
         "prometheus": exposition,
         "ledgers": ledgers,
-        "spans": spans,
         "labels": [collector.label_of(node_id)
                    for node_id in sorted(cluster.live_ids())],
         "collector": collector,
@@ -130,14 +135,6 @@ class TestCollectorInProcess:
             summary = collected["ledgers"][label]
             assert summary["total_messages"] > 0
             assert summary["unpriced_messages"] == 0
-
-    def test_scrape_ships_span_batches(self, collected):
-        batches = [batch for batch in collected["spans"].values() if batch]
-        assert batches, "no node shipped any spans"
-        for batch in batches:
-            assert len(batch) <= 4
-            for record in batch:
-                assert {"trace_id", "span_id", "name"} <= set(record)
 
     def test_rescrape_is_idempotent_not_additive(self, collected):
         """Federation rebuilds from the latest per-node exports, so the
@@ -195,34 +192,62 @@ class TestCollectorInProcess:
         assert "error" in down[0]
 
 
-class TestSubscribeIncremental:
-    def test_reshipped_windows_fold_idempotently(self):
-        """Round N+1 re-ships the still-accumulating latest window; the
-        fold replaces it, so deltas that land between rounds are neither
-        lost nor double counted."""
+class TestScrapeIsLossless:
+    def test_awkward_values_survive_the_wire_exactly(self):
+        """A registry export crosses the wire in a telemetry snapshot
+        and, absorbed into a fresh registry, gives back the source's
+        snapshot and exposition exactly: a negative zero, floats near
+        both ends of the range, a 64-bit counter, non-ASCII labels and
+        a HELP text with a newline."""
+        source = MetricsRegistry()
+        source.counter("big", unit="café").increment((1 << 64) - 1)
+        source.gauge("tiny").set(1e-300)
+        source.gauge("signed", sign="−").set(-0.0)
+        source.histogram("odd").extend([-0.0, 1e-300, 2.5, 1e300])
+        source.describe("big", "A counter — with a dash\nand a newline.")
+        node = 0xA1 << 120
+        payload = {"request_id": 1, "node": f"{node:032x}", "joined": True,
+                   "known_nodes": 3, "leaf_set": 2, "mailbox_depth": 0,
+                   "registry": source.export()}
+        message = Message(kind="telemetry-snapshot", sender=node,
+                          payload=payload)
+        decoded = decode_message(encode_message(message))
+        assert well_formed(decoded, {node})
+        restored = MetricsRegistry()
+        restored.absorb(decoded.payload["registry"])
+        assert repr(restored.snapshot()) == repr(source.snapshot())
+        assert restored.to_prometheus() == source.to_prometheus()
+        assert repr(restored.gauge("signed", sign="−").value) == "-0.0"
 
-        async def scenario():
-            cluster = LiveStorageCluster(seed=23, transport=None)
-            await cluster.start(6, join_concurrency=1)
-            collector = TelemetryCollector(cluster, window=1.0)
-            await collector.subscribe_all(at=0.0)
-            origin = cluster.live_ids()[0]
-            [(certificate, data)] = make_certs(1)
-            await cluster.insert(certificate, data, origin)
-            merged = await collector.subscribe_all(at=0.5)  # same window
-            again = await collector.subscribe_all(at=0.5)   # quiesced
-            await cluster.shutdown()
-            return merged, again
 
-        merged, again = run(scenario())
-        stores = [rows for name, rows in merged["counters"].items()
-                  if name.startswith('live.messages{kind="store-request"')]
-        assert stores and stores[0][-1][1] > 0
-        # Re-subscribing a quiesced cluster only moves telemetry kinds.
-        for name, rows in merged["counters"].items():
-            if "telemetry" in name:
-                continue
-            assert again["counters"][name] == rows
+class TestLoadSeries:
+    @pytest.mark.parametrize("artifacts", [False, True],
+                             ids=["registry", "collector"])
+    def test_burn_windows_are_one_scrape_interval_wide(
+            self, monkeypatch, tmp_path, artifacts):
+        """``repro load`` samples one recorder every
+        ``--scrape-interval``, with or without a collector, and its SLO
+        verdict reads windows of exactly that width."""
+        seen = []
+        evaluate = slo.evaluate_load_slo
+
+        def capture(*args, series_snapshot=None, **kwargs):
+            seen.append(series_snapshot)
+            return evaluate(*args, series_snapshot=series_snapshot, **kwargs)
+
+        monkeypatch.setattr(slo, "evaluate_load_slo", capture)
+        argv = ["--seed", "3", "load", "--transport", "inproc", "--nodes", "6",
+                "--clients", "2", "--ops", "60", "--scrape-interval", "0.25",
+                "--json"]
+        if artifacts:
+            argv += ["--series-out", str(tmp_path / "series.json")]
+        assert main(argv) == 0
+        [series] = seen
+        assert series["window_seconds"] == 0.25
+        assert any(name.startswith("load.ops{") for name in series["counters"])
+        if artifacts:
+            with open(tmp_path / "series.json", encoding="utf-8") as handle:
+                assert json.load(handle) == series
 
 
 class TestSloUnit:

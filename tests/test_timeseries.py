@@ -2,9 +2,8 @@
 
 The determinism contracts the telemetry plane leans on, pinned one by
 one: counter windows accumulate deltas, gauges keep levels, histogram
-windows keep exact samples, rings evict oldest-first, incremental
-snapshots replay idempotently, and cross-node merges are
-order-independent.
+windows keep exact samples, rings evict oldest-first, and snapshots
+are byte-deterministic.
 """
 
 import json
@@ -16,8 +15,6 @@ from repro.obs.timeseries import (
     TimeSeriesRecorder,
     WindowedHistogram,
     WindowedSeries,
-    extend_snapshot,
-    merge_snapshots,
 )
 
 
@@ -55,17 +52,6 @@ class TestWindowedHistogram:
         histogram.extend(0, [5.0, 1.0])
         histogram.extend(0, [3.0])
         assert histogram.windows() == [(0, [1.0, 3.0, 5.0])]
-
-    def test_merge_concatenates_window_by_window(self):
-        left = WindowedHistogram("h")
-        left.extend(0, [1.0, 9.0])
-        left.extend(1, [2.0])
-        right = WindowedHistogram("h")
-        right.extend(0, [4.0])
-        merged = left.merge(right)
-        assert merged.windows() == [(0, [1.0, 4.0, 9.0]), (1, [2.0])]
-        # Order independence: merging the other way is identical.
-        assert right.merge(left).windows() == merged.windows()
 
 
 def _registry():
@@ -106,25 +92,6 @@ class TestTimeSeriesRecorder:
         # Only the *fresh* sample lands in window 1.
         assert snapshot["histograms"]["lat"] == [[0, [1.0, 5.0]], [1, [3.0]]]
 
-    def test_snapshot_since_is_strictly_greater(self):
-        metrics = _registry()
-        recorder = TimeSeriesRecorder(window=10.0)
-        metrics.counter("ops").increment()
-        recorder.sample(metrics, at=0.0)
-        metrics.counter("ops").increment()
-        recorder.sample(metrics, at=10.0)
-        assert recorder.snapshot(since=0)["counters"]["ops"] == [[1, 1.0]]
-        assert "ops" not in recorder.snapshot(since=1)["counters"]
-        assert recorder.snapshot(since=1)["latest_index"] == 1
-
-    def test_configure_window_only_before_first_sample(self):
-        recorder = TimeSeriesRecorder(window=10.0)
-        recorder.configure_window(0.5)
-        assert recorder.window == 0.5
-        recorder.sample(_registry(), at=0.0)
-        recorder.configure_window(99.0)
-        assert recorder.window == 0.5
-
     def test_snapshot_bytes_are_deterministic(self):
         def build():
             metrics = _registry()
@@ -136,55 +103,3 @@ class TestTimeSeriesRecorder:
             return json.dumps(recorder.snapshot(), sort_keys=True)
 
         assert build() == build()
-
-
-class TestSnapshotFolding:
-    def test_extend_replaces_reshipped_windows(self):
-        existing = {
-            "window_seconds": 1.0, "capacity": 64, "latest_index": 1,
-            "counters": {"ops": [[0, 3.0], [1, 2.0]]},
-            "gauges": {}, "histograms": {},
-        }
-        incoming = {
-            "window_seconds": 1.0, "capacity": 64, "latest_index": 2,
-            "counters": {"ops": [[1, 5.0], [2, 1.0]]},
-            "gauges": {}, "histograms": {},
-        }
-        merged = extend_snapshot(existing, incoming)
-        # Window 1 was re-shipped after more deltas accumulated: its row
-        # is *replaced*, not summed -- the fold is idempotent.
-        assert merged["counters"]["ops"] == [[0, 3.0], [1, 5.0], [2, 1.0]]
-        assert merged["latest_index"] == 2
-        assert existing["counters"]["ops"] == [[0, 3.0], [1, 2.0]]  # unmutated
-        assert extend_snapshot(merged, incoming) == merged
-
-    def test_extend_from_nothing_copies(self):
-        incoming = {"window_seconds": 1.0, "capacity": 4, "latest_index": 0,
-                    "counters": {"ops": [[0, 1.0]]}, "gauges": {},
-                    "histograms": {}}
-        merged = extend_snapshot(None, incoming)
-        assert merged["counters"] == incoming["counters"]
-        merged["counters"]["other"] = []
-        assert "other" not in incoming["counters"]
-
-    def test_merge_sums_counters_and_concatenates_histograms(self):
-        node_a = {
-            "window_seconds": 1.0, "capacity": 64, "latest_index": 1,
-            "counters": {"ops": [[0, 3.0], [1, 1.0]]},
-            "gauges": {"depth": [[0, 2.0]]},
-            "histograms": {"lat": [[0, [1.0, 9.0]]]},
-        }
-        node_b = {
-            "window_seconds": 1.0, "capacity": 64, "latest_index": 2,
-            "counters": {"ops": [[1, 4.0], [2, 2.0]]},
-            "gauges": {"depth": [[0, 5.0]]},
-            "histograms": {"lat": [[0, [4.0]]]},
-        }
-        merged = merge_snapshots([node_a, node_b])
-        assert merged["counters"]["ops"] == [[0, 3.0], [1, 5.0], [2, 2.0]]
-        assert merged["gauges"]["depth"] == [[0, 7.0]]
-        assert merged["histograms"]["lat"] == [[0, [1.0, 4.0, 9.0]]]
-        assert merged["latest_index"] == 2
-        flipped = merge_snapshots([node_b, node_a])
-        assert json.dumps(flipped, sort_keys=True) == \
-            json.dumps(merged, sort_keys=True)

@@ -3,10 +3,10 @@
 Framing first (length-prefixed frames over an arbitrarily-chunked byte
 stream): round-trips on randomized payloads, torn reads at *every* byte
 boundary, oversized-frame rejection, and garbage-prefix resync.  Then
-the message codec (wire format version 2, generated from the kind
+the message codec (wire format version 3, generated from the kind
 table): every message of every shape must survive encode/decode
 (Hypothesis over the table's field types, one canonical frame per shape
-with its length pinned, and one pinned example per tagged-value row), a
+with its length pinned, and one pinned example per form byte), a
 message that does not fit its shape must fail loudly at encode time, and
 no sequence of bytes -- garbage, truncated, mutated, or lying about its
 own lengths -- may get anything but a ``CodecError`` out of the decoder.
@@ -39,13 +39,11 @@ from repro.live.net import (
 from repro.live.net.codec import (
     FAST_KEY,
     FIELD_FORMS,
-    MAX_DEPTH,
     REAL,
     RSA_KEY,
     SHAPES,
     SYNTHETIC,
     VARINT_BYTES,
-    WIRE_FORMS,
     WIRE_VERSION,
 )
 from repro.live.net.framing import HEADER_BYTES, MAGIC
@@ -171,10 +169,6 @@ class TestResync:
 # ---------------------------------------------------------------------- #
 
 
-def u32(number):
-    return number.to_bytes(4, "big")
-
-
 def varint(number):
     out = bytearray()
     while number >= 0x80:
@@ -182,19 +176,6 @@ def varint(number):
         number >>= 7
     out.append(number)
     return bytes(out)
-
-
-def int64(number):
-    return b"\x03" + number.to_bytes(8, "big", signed=True)
-
-
-def text(string):
-    return b"\x06" + u32(len(string)) + string.encode("utf-8")
-
-
-def entry(key, tagged_value):
-    """One tagged dict entry: the key as a bare str body, then a value."""
-    return text(key)[1:] + tagged_value
 
 
 def shape_id(kind, purpose=None):
@@ -211,18 +192,13 @@ def head(kind, purpose=None):
     return bytes([WIRE_VERSION, shape_id(kind, purpose)]) + NODE_HEADER
 
 
-def wire_message(*entries):
-    """A ``telemetry-series`` frame whose ``series`` -- a DICT field, so
-    a tagged value -- is a dict of *entries*: request_id 0, node "n",
-    the presence byte marking ``series``, then the tagged dict."""
-    return (head("telemetry-series") + varint(0) + varint(1) + b"n" + b"\x01"
-            + b"\x09" + u32(len(entries)) + b"".join(entries))
-
-
-def series(value):
-    """The message :func:`wire_message` writes, carrying ``{"v": value}``."""
-    return Message(kind="telemetry-series", sender=1, payload={
-        "request_id": 0, "node": "n", "series": {"v": value}})
+#: A ``telemetry-snapshot`` up to its presence byte: request_id 0, node
+#: "n", joined, and zero known nodes, leaf-set members and mailbox depth.
+SNAPSHOT_HEAD = (head("telemetry-snapshot") + varint(0) + varint(1) + b"n"
+                 + b"\x01" + b"\x00" * 3)
+#: Presence bytes marking only the snapshot's ``registry``, only its
+#: ``ledger``.
+REGISTRY_ONLY, LEDGER_ONLY = b"\x04", b"\x08"
 
 
 #: The seven certificate fields, each at its smallest: name "f", zero
@@ -275,21 +251,19 @@ CANONICAL = {
                               "holders": [NODE_A], "reason": "duplicate"},
     ("lookup-result", None): {"request_id": 7, "certificate": CERTIFICATE,
                               "data": DATA, "serving_node": NODE_B},
-    ("telemetry-scrape", None): {"request_id": 7, "spans": 2},
-    ("telemetry-subscribe", None): {"request_id": 7, "since": None,
-                                    "window": 1.0, "at": 2.5},
+    ("telemetry-scrape", None): {"request_id": 7},
     ("health-probe", None): {"request_id": 7},
-    ("telemetry-snapshot", None): {"request_id": 7, "node": "a1",
-                                   "state": {"joined": True},
-                                   "registry": {"c": 1}, "ledger": {},
-                                   "spans": [{"name": "hop"}]},
-    ("telemetry-series", None): {"request_id": 7, "node": "a1",
-                                 "series": {"w": [1, 2.5]}},
-    ("health-report", None): {"request_id": 7, "node": "a1", "healthy": True,
-                              "checks": {"mailbox": True}, "mailbox_depth": 0,
-                              "mailbox_limit": 1024, "in_flight": 0,
-                              "resynced_bytes": 0, "send_queue_depth": 0,
-                              "pool": {"links": 3}, "state": {}},
+    ("telemetry-snapshot", None): {
+        "request_id": 7, "node": "a1", "joined": True, "known_nodes": 5,
+        "leaf_set": 4, "mailbox_depth": 0, "store_files": 2, "store_bytes": 90,
+        "registry": [[["c", [["kind", "route"]], 1]], [["g", [], 0.5]],
+                     [["h", [], [1.0, 2.5]]], [["c", "Routes."]]],
+        "ledger": [3, 150, [["route", 150]], 0, [[NODE_A, 150]]]},
+    ("health-report", None): {
+        "request_id": 7, "node": "a1", "joined": True, "known_nodes": 5,
+        "leaf_set": 4, "mailbox_depth": 0, "healthy": True, "running": True,
+        "mailbox_headroom": True, "mailbox_limit": 1024,
+        "wire": ["SocketTransport", 3, 2, 0, 0, 0, 0, 0, 9, 0, 700, 9, 0]},
 }
 #: Frame payload bytes of each canonical message: a codec that grows
 #: fails here, not only in the benchmark.
@@ -303,9 +277,8 @@ CANONICAL_BYTES = {
     ("leafset-request", None): 47, ("leafset-reply", None): 80,
     ("store-request", None): 183, ("store-ack", None): 49,
     ("insert-result", None): 77, ("lookup-result", None): 201,
-    ("telemetry-scrape", None): 51, ("telemetry-subscribe", None): 70,
-    ("health-probe", None): 50, ("telemetry-snapshot", None): 114,
-    ("telemetry-series", None): 85, ("health-report", None): 103,
+    ("telemetry-scrape", None): 50, ("health-probe", None): 50,
+    ("telemetry-snapshot", None): 152, ("health-report", None): 93,
 }
 
 
@@ -349,8 +322,6 @@ class TestMessageCodec:
             "file_id": (1 << 160) - 1})
         assert decode_message(encode_message(message)) == message
         huge = (1 << 512) + 12345
-        assert decode_message(encode_message(series(huge))).payload[
-            "series"] == {"v": huge}
         envelope = CERTIFICATE.envelope
         signed = FileCertificate(SignedEnvelope(
             kind=envelope.kind, fields=envelope.fields, signer=envelope.signer,
@@ -360,30 +331,12 @@ class TestMessageCodec:
         assert decode_message(encode_message(store)) == store
 
     def test_tuples_normalize_to_lists(self):
-        decoded = decode_message(encode_message(
-            series([(0, [1, None, 3]), (1, [4])])))
-        assert decoded.payload["series"]["v"] == [[0, [1, None, 3]], [1, [4]]]
         reply = Message(kind="join-reply", sender=1, payload={
             "leaf_set": (1, 2), "neighborhood": [], "rows": [(0, (1, None))],
             "trail": []})
         assert decode_message(encode_message(reply)).payload == {
             "leaf_set": [1, 2], "neighborhood": [], "rows": [[0, [1, None]]],
             "trail": []}
-
-    def test_subclasses_travel_as_their_registered_base(self):
-        import collections
-        import enum
-
-        class Colour(enum.IntEnum):
-            RED = 7
-
-        pair = collections.namedtuple("pair", "left right")
-        value = {"enum": Colour.RED, "pair": pair(1, 2),
-                 "ordered": collections.OrderedDict(b=1, a=2)}
-        decoded = decode_message(encode_message(series(value)))
-        assert decoded.payload["series"]["v"] == {
-            "enum": 7, "pair": [1, 2], "ordered": {"b": 1, "a": 2}}
-        assert type(decoded.payload["series"]["v"]["enum"]) is int
 
     def test_synthetic_and_real_data(self):
         synthetic = SyntheticData(seed=9, size=5000)
@@ -417,23 +370,26 @@ class TestMessageCodec:
 
     def test_raw_bytes_round_trip(self):
         raw = bytes(range(256))
-        assert decode_message(encode_message(series(raw))).payload[
-            "series"] == {"v": raw}
         store = canonical("store-request")
         store.payload["data"] = RealData(raw)
         assert decode_message(encode_message(store)).payload["data"] == RealData(raw)
 
     def test_unknown_object_fails_at_encode_time(self):
+        snapshot = canonical("telemetry-snapshot")
+        snapshot.payload["registry"] = [[], [["g", [], object()]], [], []]
         with pytest.raises(CodecError):
-            encode_message(series(object()))
+            encode_message(snapshot)
         store = canonical("store-request")
         store.payload["data"] = object()
         with pytest.raises(CodecError):
             encode_message(store)
 
     def test_non_string_dict_key_rejected(self):
+        """A metric's labels are a str -> str dict, travelling as pairs."""
+        snapshot = canonical("telemetry-snapshot")
+        snapshot.payload["registry"] = [[["c", [[1, "x"]], 1]], [], [], []]
         with pytest.raises(CodecError):
-            encode_message(series({1: "x"}))
+            encode_message(snapshot)
 
     def test_garbage_payload_rejected(self):
         with pytest.raises(CodecError):
@@ -441,22 +397,20 @@ class TestMessageCodec:
         with pytest.raises(CodecError):
             decode_message(b"")
         # The formats this one replaced, refused on their first byte: JSON,
-        # and a version-1 payload (kind as a tagged str, then the rest).
+        # a version-1 payload (kind as a tagged str, then the rest), and
+        # a version-2 one, whose telemetry shape ids meant other shapes.
         with pytest.raises(CodecError):
             decode_message(b'{"kind":"x","sender":1,"payload":{}}')
-        with pytest.raises(CodecError, match="not a version-2"):
-            decode_message(b"\x01" + text("announce") + int64(1) + int64(0)
-                           + b"\x00" + b"\x09" + u32(0))
+        with pytest.raises(CodecError, match="not a version-3"):
+            decode_message(b"\x01\x06" + bytes(4) + b"\x08announce")
+        for frame in CANONICAL_FRAMES:
+            with pytest.raises(CodecError, match="not a version-3"):
+                decode_message(b"\x02" + frame[1:])
         # A header cut short after the shape id, and inside the sender.
         with pytest.raises(CodecError):
             decode_message(bytes([WIRE_VERSION, shape_id("announce")]))
         with pytest.raises(CodecError):
             decode_message(head("announce")[:10])
-
-    def test_unknown_tag_rejected(self):
-        assert 0x7F not in {form.tag for form in WIRE_FORMS}
-        with pytest.raises(CodecError, match="unknown wire tag 0x7f"):
-            decode_message(wire_message(entry("v", b"\x7f")))
 
     def test_identical_messages_encode_identically(self):
         """The same message gives the same bytes -- and, fields being
@@ -478,18 +432,6 @@ class TestMessageCodec:
 # every shape, drawn from the kind table's field types
 # ---------------------------------------------------------------------- #
 
-ints = st.integers(min_value=-(1 << 600), max_value=1 << 600)
-plain = st.one_of(st.none(), st.booleans(), ints,
-                  st.floats(allow_nan=False), st.text(), st.binary())
-#: Any value of the tagged grammar (DICT, INSTANT and WINDOW fields).
-values = st.recursive(
-    plain,
-    lambda children: st.one_of(
-        st.lists(children, max_size=4),
-        st.dictionaries(st.text(), children, max_size=4),
-    ),
-    max_leaves=12,
-)
 ids = st.integers(min_value=0, max_value=(1 << 128) - 1)
 uints = st.integers(min_value=0, max_value=(1 << 70) - 1)
 public_keys = st.one_of(
@@ -521,16 +463,17 @@ STRATEGY_OF = {
     "int": lambda: st.integers(min_value=-(1 << 69), max_value=(1 << 69) - 1),
     "uint": lambda: uints,
     "bool": st.booleans,
+    # NaN travels too, but is not equal to itself.
+    "float": lambda: st.floats(allow_nan=False),
     "str": st.text,
     "address": lambda: st.integers(min_value=0, max_value=1 << 200),
     "data": lambda: st.one_of(
         st.builds(SyntheticData, seed=ids, size=uints),
         st.builds(RealData, st.binary())),
     "certificate": _certificates,
-    "value": lambda: values,
     "list": lambda item: st.lists(item, max_size=3),
     "maybe": lambda item: st.none() | item,
-    "pair": lambda first, second: st.tuples(first, second).map(list),
+    "row": lambda *items: st.tuples(*items).map(list),
 }
 
 
@@ -577,6 +520,8 @@ def forms_in(field):
 
 
 class TestValueGrammar:
+    """The grammar of the wire: each field form and the values it writes."""
+
     def test_strategies_cover_the_wire_table(self):
         """Every form the table names has a strategy and a codec entry,
         and the codec has no form the table does not use."""
@@ -598,19 +543,25 @@ class TestValueGrammar:
         assert encode_message(decoded) == wire
 
     def test_every_row_round_trips_under_its_own_tag(self):
-        """One pinned example per tagged-value row, found on the wire
-        under exactly the tag docs/PROTOCOLS.md gives it; and each form
-        byte of a data field and of a certificate's signer."""
-        example_of = {
-            0x00: None, 0x01: False, 0x02: True, 0x03: -(1 << 63),
-            0x04: 1 << 63, 0x05: 0.25, 0x06: "café", 0x07: b"\x00\xff",
-            0x08: [1, "two"], 0x09: {"k": None},
-        }
-        assert set(example_of) == {form.tag for form in WIRE_FORMS}
-        for tag, example in example_of.items():
-            wire = encode_message(series(example))
-            assert wire.startswith(wire_message(entry("v", bytes([tag])))), hex(tag)
-            assert decode_message(wire).payload["series"] == {"v": example}, hex(tag)
+        """Each form byte of a data field and of a certificate's signer,
+        found on the wire where docs/PROTOCOLS.md puts it; and a
+        registry row, each value by its form: a float as its 8 IEEE 754
+        bytes."""
+        registry = [[["c", [["k", "v"]], -1]], [["g", [], -0.0]],
+                    [["h", [], [0.25]]], [["c", "é"]]]
+        snapshot = Message(kind="telemetry-snapshot", sender=1, payload={
+            "request_id": 0, "node": "n", "joined": True, "known_nodes": 0,
+            "leaf_set": 0, "mailbox_depth": 0, "registry": registry})
+        wire = encode_message(snapshot)
+        assert wire == (SNAPSHOT_HEAD + REGISTRY_ONLY
+                        + varint(1) + varint(1) + b"c" + varint(1) + varint(1)
+                        + b"k" + varint(1) + b"v" + varint(1)
+                        + varint(1) + varint(1) + b"g" + varint(0)
+                        + b"\x80" + bytes(7)
+                        + varint(1) + varint(1) + b"h" + varint(0) + varint(1)
+                        + b"\x3f\xd0" + bytes(6)
+                        + varint(1) + varint(1) + b"c" + varint(2) + "é".encode())
+        assert repr(decode_message(wire)) == repr(snapshot)
 
         # name "file", the two 160-bit ids, size 17, k 3 (zigzag 6),
         # salt 7, date 0; then the signer's form byte.
@@ -637,19 +588,6 @@ class TestValueGrammar:
                         + varint(data.size))
             assert wire.endswith(tail)
             assert decode_message(wire) == message
-
-    def test_dict_order_is_the_senders(self):
-        """Inside a tagged dict the sender's order travels; the payload
-        itself comes out in schema order."""
-        wire = encode_message(series({"b": 2, "a": 1}))
-        assert wire == wire_message(entry("v", b"\x09" + u32(2) + entry("b", int64(2))
-                                          + entry("a", int64(1))))
-        assert list(decode_message(wire).payload["series"]["v"]) == ["b", "a"]
-        result = Message(kind="insert-result", sender=1, payload={
-            "reason": "duplicate", "holders": [], "success": False,
-            "request_id": 3})
-        assert list(decode_message(encode_message(result)).payload) == [
-            "request_id", "success", "holders", "reason"]
 
     def test_header_is_typed_on_both_sides(self):
         for kind in (7, "stop", None):
@@ -694,10 +632,6 @@ class TestValueGrammar:
             decode_message(head("insert-result") + varint(0) + b"\x00"
                            + varint(0) + b"\x02")
 
-    def test_repeated_dict_key_rejected(self):
-        with pytest.raises(CodecError, match="repeats a key"):
-            decode_message(wire_message(entry("k", b"\x00"), entry("k", b"\x02")))
-
     def test_the_frame_of_each_shape_has_its_pinned_length(self):
         for key, frame in zip(ALL_SHAPES, CANONICAL_FRAMES):
             assert well_formed(decode_message(frame), REGISTERED), key
@@ -733,7 +667,8 @@ class TestEncodeRefusal:
 
     def test_values_past_their_slot_are_refused(self):
         """A negative id, an id past its 16 or 20 bytes, an int past 70
-        bits, a bool for an int: no form can write them."""
+        bits, a bool for an int, an int for a float, a row of the wrong
+        width: no form can write them."""
         for name, value in (("key", -5), ("key", 1 << 128), ("trail", [1 << 140]),
                             ("trail", ["x"]), ("request_id", 1 << 69),
                             ("request_id", True), ("file_id", 1 << 160)):
@@ -741,6 +676,17 @@ class TestEncodeRefusal:
             message.payload[name] = value
             with pytest.raises(CodecError):
                 encode_message(message)
+        for name, value in (("wire", ["SocketTransport", 3]),
+                            ("wire", CANONICAL["health-report", None]["wire"] + [0]),
+                            ("mailbox_limit", 1.0)):
+            message = canonical("health-report")
+            message.payload[name] = value
+            with pytest.raises(CodecError):
+                encode_message(message)
+        snapshot = canonical("telemetry-snapshot")
+        snapshot.payload["registry"] = [[], [["g", [], 1]], [], []]
+        with pytest.raises(CodecError):
+            encode_message(snapshot)
         certificate = CERTIFICATE.envelope
         for fields in ({**certificate.fields, "extra": 1},
                        {k: v for k, v in certificate.fields.items() if k != "k"},
@@ -796,35 +742,37 @@ class TestHostileBytes:
         wire[position] = data.draw(st.integers(0, 255))
         decodes_or_refuses(bytes(wire))
 
-    @pytest.mark.parametrize("tag", [0x04, 0x06, 0x07, 0x08, 0x09, REAL, FAST_KEY])
+    @pytest.mark.parametrize("tag", [REAL, FAST_KEY])
     def test_overlong_declaration_refused_before_allocation(self, tag):
-        """Every length-prefixed form of the tagged grammar (u32 length),
-        a file's bytes and a fast signer's secret (varint length),
-        claiming 4 GiB they do not have."""
+        """A file's bytes and a fast signer's secret, each behind its
+        form byte, claiming 4 GiB they do not have."""
         if tag == REAL:
             wire = (head("store-request") + varint(0) + CERTIFICATE_BODY
                     + bytes([FAST_KEY]) + varint(0) + varint(0)
                     + bytes([REAL]) + varint(0xFFFF_FFFF) + b"abc")
-        elif tag == FAST_KEY:
+        else:
             wire = (head("store-request") + varint(0) + CERTIFICATE_BODY
                     + bytes([FAST_KEY]) + varint(0xFFFF_FFFF) + b"abc")
-        else:
-            wire = wire_message(entry("v", bytes([tag]) + u32(0xFFFF_FFFF) + b"abc"))
         assert_refused_small(wire)
 
     @pytest.mark.parametrize("before", [
         bytes([WIRE_VERSION, shape_id("telemetry-scrape")]),
-        head("telemetry-series") + varint(0),
+        head("telemetry-snapshot") + varint(0),
         head("leafset-reply"),
         head("join-reply") + varint(0) + varint(0),
         head("join-reply") + varint(0) + varint(0) + varint(1) + varint(0),
         head("store-request") + varint(0) + CERTIFICATE_BODY + bytes([RSA_KEY]),
         head("store-request") + varint(0) + CERTIFICATE_BODY + bytes([FAST_KEY])
         + varint(0),
-        head("telemetry-snapshot") + varint(0) + varint(0) + b"\x09" + u32(0)
-        + b"\x04",
+        SNAPSHOT_HEAD + REGISTRY_ONLY,
+        SNAPSHOT_HEAD + REGISTRY_ONLY + varint(1) + varint(1) + b"c",
+        SNAPSHOT_HEAD + REGISTRY_ONLY + varint(0) + varint(0) + varint(1)
+        + varint(1) + b"h" + varint(0),
+        SNAPSHOT_HEAD + REGISTRY_ONLY + varint(0) * 3 + varint(1) + varint(1) + b"h",
+        SNAPSHOT_HEAD + LEDGER_ONLY + varint(0) * 4,
     ], ids=["address", "str", "node-list", "rows", "cells", "rsa-modulus",
-            "signature", "spans"])
+            "signature", "registry-rows", "label-pairs", "samples", "help-text",
+            "top-nodes"])
     def test_every_varint_length_and_count_refuses_4_gib(self, before):
         """Each schema position holding a length or a count, claiming
         4 GiB: refused before anything is allocated."""
@@ -860,42 +808,20 @@ class TestHostileBytes:
             decode_message(head("announce")[:-1] + b"\x02")
 
     def test_count_is_checked_against_the_smallest_element(self):
-        """Three bytes remain: room for 3 tagged list elements, not for
-        4; and for no tagged dict entry at all (4-byte key length + a
-        tag).  31 bytes remain: room for one 16-byte node id, not two."""
-        assert decode_message(
-            wire_message(entry("v", b"\x08" + u32(3) + b"\x00\x01\x02"))
-        ).payload["series"] == {"v": [None, False, True]}
-        with pytest.raises(CodecError, match="4 elements declared"):
-            decode_message(wire_message(entry("v", b"\x08" + u32(4) + b"\x00\x01\x02")))
-        with pytest.raises(CodecError, match="1 elements declared"):
-            decode_message(wire_message(entry("v", b"\x09" + u32(1) + b"\x00\x01\x02")))
+        """17 bytes remain: room for 2 eight-byte histogram samples (and
+        the help count after them), not for 3.  31 bytes remain: room
+        for one 16-byte node id, not two."""
+        def histogram(count):
+            return (SNAPSHOT_HEAD + REGISTRY_ONLY + varint(0) * 2 + varint(1)
+                    + varint(1) + b"h" + varint(0) + varint(count)
+                    + b"\x3f\xf0" + bytes(6) + b"\x40" + bytes(7) + varint(0))
+
+        [[_, _, samples]] = decode_message(histogram(2)).payload["registry"][2]
+        assert samples == [1.0, 2.0]
+        with pytest.raises(CodecError, match="3 elements declared"):
+            decode_message(histogram(3))
         with pytest.raises(CodecError, match="2 elements declared"):
             decode_message(head("leafset-reply") + varint(2) + bytes(31))
-
-    @pytest.mark.parametrize("opener", [b"\x08" + u32(1), b"\x09" + u32(1) + u32(1) + b"k"],
-                             ids=["lists", "dicts"])
-    def test_deep_nesting_refused_without_recursion_error(self, opener):
-        wire = wire_message(entry("v", opener * 100_000 + b"\x00"))
-        with pytest.raises(CodecError, match="nests deeper"):
-            decode_message(wire)
-
-    def test_nesting_limit_is_the_same_on_both_sides(self):
-        def nested(levels):
-            value = []
-            for _ in range(levels - 1):
-                value = [value]
-            return series(value)
-
-        wire = encode_message(nested(MAX_DEPTH))
-        assert decode_message(wire) == nested(MAX_DEPTH)
-        with pytest.raises(CodecError, match="nests deeper"):
-            encode_message(nested(MAX_DEPTH + 1))
-        # One level more than the encoder would ever write.
-        deeper = wire_message(
-            entry("v", (b"\x08" + u32(1)) * MAX_DEPTH + b"\x08" + u32(0)))
-        with pytest.raises(CodecError, match="nests deeper"):
-            decode_message(deeper)
 
 
 def assert_refused_small(wire):
