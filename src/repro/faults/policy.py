@@ -17,6 +17,8 @@ import random
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
+from repro.obs.trace_context import TraceContext
+
 
 @dataclass(frozen=True)
 class AttemptRecord:
@@ -54,32 +56,30 @@ class AttemptLog:
     exhausted the log rides inside
     :class:`~repro.core.errors.DegradedError`, so a degraded operation
     carries its full history (which trace, which spans, what backoff,
-    where it rerouted) instead of just a count.
+    where it rerouted) instead of just a count.  It keeps each attempt's
+    trace context, not its span id: an id is derived only when
+    :meth:`as_tuple` renders a history someone will read.
     """
 
     trace_id: str = ""
-    records: List[AttemptRecord] = field(default_factory=list)
+    records: List[tuple] = field(default_factory=list)
 
     def add(
         self,
         attempt: int,
-        span_id: str = "",
+        context: Optional[TraceContext] = None,
         delay: float = 0.0,
         randomized: bool = False,
         reroute_seed: Optional[int] = None,
-    ) -> AttemptRecord:
-        record = AttemptRecord(
-            attempt=attempt,
-            span_id=span_id,
-            delay=delay,
-            randomized=randomized,
-            reroute_seed=reroute_seed,
-        )
-        self.records.append(record)
-        return record
+    ) -> None:
+        self.records.append((attempt, context, delay, randomized, reroute_seed))
 
     def as_tuple(self) -> Tuple[AttemptRecord, ...]:
-        return tuple(self.records)
+        return tuple(
+            AttemptRecord(attempt, context.span_id if context is not None else "",
+                          delay, randomized, reroute_seed)
+            for attempt, context, delay, randomized, reroute_seed in self.records
+        )
 
     def __len__(self) -> int:
         return len(self.records)

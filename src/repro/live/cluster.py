@@ -139,14 +139,19 @@ class LiveNode:
         """
         obs = self.cluster.obs
         if obs.enabled:
-            obs.metrics.counter("live.messages", kind=message.kind).increment()
+            sent = self.cluster._sent_by_kind
+            counter = sent.get(message.kind)
+            if counter is None:
+                counter = sent[message.kind] = obs.metrics.counter(
+                    "live.messages", kind=message.kind)
+            counter.increment()
         result = await self.cluster.transport.send(destination, message)
         if result.peer_dead:
             self.state.forget(destination)
         return result
 
-    def _trace_child(self, header: str, *qualifiers: object) -> TraceContext:
-        """Derive this node's next child context under *header*.
+    def _trace_child(self, parent: TraceContext, *qualifiers: object) -> TraceContext:
+        """This node's next child context under *parent*.
 
         Span ids carry a per-(node, trace) sequence number, so sibling
         spans stay distinct even when a duplicated message replays the
@@ -156,14 +161,13 @@ class LiveNode:
         collector keeps it with the trace's spans, so it is evicted
         with them.
         """
-        ctx = TraceContext.from_traceparent(header)
-        seq = self.cluster.obs.traces.child_seq(ctx.trace_id, self.node_id)
-        return ctx.child(self.node_id, seq, *qualifiers)
+        seq = self.cluster.obs.traces.child_seq(parent.trace_id, self.node_id)
+        return parent.child(self.node_id, seq, *qualifiers)
 
-    def _point_span(self, parent: Optional[str], name: str,
-                    **attributes: object) -> Optional[str]:
+    def _point_span(self, parent: Optional[TraceContext], name: str,
+                    **attributes: object) -> Optional[TraceContext]:
         """Record a point span *name* (this node's id plus *attributes*)
-        under the *parent* header; returns the header the reply should
+        under the *parent* context; returns the context the reply should
         carry, so a fault on the reply shows under this span.  With
         observation off or an untraced message nothing is recorded and
         *parent* comes back untouched."""
@@ -172,9 +176,9 @@ class LiveNode:
             return parent
         ctx = self._trace_child(parent, name)
         obs.traces.record(ctx, name, node_id=f"{self.node_id:x}", **attributes)
-        return ctx.to_traceparent()
+        return ctx
 
-    async def _forward_route(self, payload: dict, parent: Optional[str]) -> None:
+    async def _forward_route(self, payload: dict, parent: Optional[TraceContext]) -> None:
         """Advance a route message one hop (or deliver it here).
 
         Retried messages carry a ``randomized_seed``: those hops are
@@ -187,10 +191,10 @@ class LiveNode:
         plus this node's row), so a failed send needs no undo and a
         duplicated delivery routes from the trail it was sent with.
 
-        Traced routes (a *parent* header) record one "hop" span per
+        Traced routes (a *parent* context) record one "hop" span per
         decision via ``next_hop_explained`` -- same decision, annotated
         with the routing rule that fired -- and chain the context: the
-        forwarded message's header is *this* hop's context, so the
+        forwarded message carries *this* hop's context, so the
         assembled tree mirrors the actual propagation path, re-decides
         after failed sends included.
         """
@@ -215,8 +219,7 @@ class LiveNode:
             if cycle_guard:
                 hop = None  # cycle guard: deliver here (see network.route)
             if tracing:
-                ctx = self._trace_child(parent, "hop")
-                header = ctx.to_traceparent()
+                header = ctx = self._trace_child(parent, "hop")
                 attributes = {
                     "node_id": f"{self.node_id:x}",
                     "rule": rule,
@@ -255,7 +258,7 @@ class LiveNode:
             # the incoming context (the failed hop's span stays in the
             # tree marked send_failed).
 
-    async def _deliver_route(self, payload: dict, header: Optional[str]) -> None:
+    async def _deliver_route(self, payload: dict, header: Optional[TraceContext]) -> None:
         purpose = payload["purpose"]
         if purpose == "join":
             await self._answer_join(payload)
@@ -489,6 +492,8 @@ class LiveCluster:
         # Trace ids are drawn from their own stream so adding/removing
         # traced operations never perturbs topology or backoff draws.
         self._trace_rng = self.rngs.stream("trace-ids")
+        # The per-kind ``live.messages`` counters, resolved once per kind.
+        self._sent_by_kind = self.obs.metrics.counters_by_label("live.messages")
         if self.obs.enabled:
             # Wire faults on traced messages land in the same collector
             # as the hop/attempt spans, so a trace shows *where* the
@@ -714,21 +719,19 @@ class LiveCluster:
                     payload["randomized_seed"] = reroute_seed
                 attempt_ctx: Optional[TraceContext] = None
                 attempt_start = 0.0
-                header = None
                 if tracing:
                     attempt_ctx = root_ctx.child("attempt", attempt)
                     attempt_start = obs.traces.tick()
-                    header = attempt_ctx.to_traceparent()
                 attempt_log.add(
                     attempt=attempt + 1,
-                    span_id=attempt_ctx.span_id if attempt_ctx else "",
+                    context=attempt_ctx,
                     delay=delay,
                     randomized=reroute_seed is not None,
                     reroute_seed=reroute_seed,
                 )
                 await self.transport.send(
                     origin, Message(kind="route", sender=origin, payload=payload,
-                                    traceparent=header)
+                                    traceparent=attempt_ctx)
                 )
                 try:
                     result = await asyncio.wait_for(

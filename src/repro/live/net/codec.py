@@ -15,9 +15,8 @@ the receiver already knows.  One frame payload is::
   length-prefixed int for the two telemetry requests, whose sender is
   any ``ADDRESS`` (a collector lives outside the 128-bit id space).
 * **message_id** -- an unsigned varint.
-* **traceparent** -- a presence byte, then the header's 26-byte binary
-  W3C form (version, trace id, span id, flags), which gives back the
-  exact lowercase-hex string.
+* **traceparent** -- a presence byte, then the context's 26-byte binary
+  W3C form: version ``00``, trace id, span id, flags ``00``/``01``.
 * **fields** -- the shape's payload fields in schema order: no key
   strings, no tags, no dict header.  A shape with optional fields adds
   one presence byte (bit *i*: the *i*-th optional field follows).
@@ -38,14 +37,15 @@ refuses, as :class:`CodecError` in the *sender*, any message whose kind
 or purpose is not in the table, whose payload does not carry exactly its
 shape's fields, or whose values the forms cannot write (a negative id,
 an id past its slot, a bool where an int belongs, a row of the wrong
-width, a traceparent not in the W3C layout).  Anything the forms *can*
-write is the edge's to judge (:func:`~repro.live.transport.well_formed`:
-registration, ranges, a zero trace id).  The decoder trusts nothing:
-every declared length and count is checked against the bytes that
-remain before anything is allocated, a varint longer than
-:data:`VARINT_BYTES` is refused, an unknown shape id or form byte, bad
-UTF-8 and trailing bytes are refused, and every such refusal is a
-:class:`CodecError`.
+width, a traceparent that is not a context of 16- and 8-byte ids).
+Anything the forms *can* write is the edge's to judge
+(:func:`~repro.live.transport.well_formed`: registration, ranges, a
+zero trace id).  The decoder trusts nothing: every declared length and
+count is checked against the bytes that remain before anything is
+allocated, a varint longer than :data:`VARINT_BYTES` is refused, an
+unknown shape id or form byte, a traceparent version other than ``00``
+or flags other than ``00``/``01``, bad UTF-8 and trailing bytes are
+refused, and every such refusal is a :class:`CodecError`.
 
 Decoded payloads list their fields in schema order, not in the order
 the sender built them.  Tuples travel as lists (the wire has one
@@ -73,6 +73,7 @@ from repro.live.transport import (
     Message,
     Schema,
 )
+from repro.obs.trace_context import TraceContext
 
 #: First byte of every payload: a peer speaking another version (or
 #: another format altogether) is refused on it.
@@ -493,21 +494,33 @@ _SHAPE_OF_PURPOSE = {shape.purpose: shape for shape in SHAPES
 # ---------------------------------------------------------------------- #
 
 
-def _traceparent_text(raw: bytes) -> str:
-    digits = raw.hex()
-    return f"{digits[:2]}-{digits[2:34]}-{digits[34:50]}-{digits[50:]}"
-
-
-def _traceparent_bytes(header: Any) -> bytes:
-    """The 26 bytes a W3C ``traceparent`` is made of; refused unless
-    they give back exactly *header* (lowercase hex, four fields)."""
+def _write_context(out: bytearray, ctx: Any) -> None:
+    """The 26 bytes of the W3C binary layout: version 00, the trace id,
+    the span id (derived here if nothing has read it yet), the flags."""
+    if type(ctx) is not TraceContext:
+        raise CodecError(f"traceparent {ctx!r:.60} is not a TraceContext")
     try:
-        raw = bytes.fromhex(header.replace("-", ""))
-    except (AttributeError, ValueError):
-        raw = b""
-    if len(raw) != _TRACEPARENT_BYTES or _traceparent_text(raw) != header:
-        raise CodecError(f"traceparent {repr(header)[:60]} is not in the W3C layout")
-    return raw
+        ids = ctx.trace_id + ctx.span_id
+        raw = bytes.fromhex(ids)
+    except (TypeError, ValueError):
+        ids, raw = None, b""
+    if len(raw) != _TRACEPARENT_BYTES - 2 or raw.hex() != ids:
+        raise CodecError(f"traceparent {ctx!r:.80}: ids are not 16 and 8 bytes of hex")
+    out.append(0)
+    out += raw
+    out.append(1 if ctx.sampled else 0)
+
+
+def _read_context(data: bytes, pos: int) -> Tuple[TraceContext, int]:
+    """An explicit context: the wire carries position, not ancestry."""
+    end = pos + _TRACEPARENT_BYTES
+    if end > len(data):
+        raise CodecError(f"payload ends inside the traceparent at byte {pos}")
+    if data[pos] != 0 or data[end - 1] > 1:
+        raise CodecError(f"traceparent version 0x{data[pos]:02x} or flags "
+                         f"0x{data[end - 1]:02x} is not 00 and 00/01")
+    ids = data[pos + 1:end - 1].hex()
+    return TraceContext(ids[:32], ids[32:], None, data[end - 1] == 1), end
 
 
 # ---------------------------------------------------------------------- #
@@ -537,7 +550,7 @@ def encode_message(message: Message) -> bytes:
             out.append(0)
         else:
             out.append(1)
-            out += _traceparent_bytes(message.traceparent)
+            _write_context(out, message.traceparent)
         for name, write, _ in shape.required:
             write(out, payload[name])
         written = len(shape.required)
@@ -579,11 +592,7 @@ def decode_message(payload: bytes) -> Message:
         traced, pos = _read_flag(data, pos)
         traceparent = None
         if traced:
-            end = pos + _TRACEPARENT_BYTES
-            if end > len(data):
-                raise CodecError(f"payload ends inside the traceparent at byte {pos}")
-            traceparent = _traceparent_text(data[pos:end])
-            pos = end
+            traceparent, pos = _read_context(data, pos)
         body: Dict[str, Any] = {}
         for name, _, read in shape.required:
             body[name], pos = read(data, pos)

@@ -59,7 +59,7 @@ class LiveStorageNode(LiveNode):
     # route delivery overrides
     # ------------------------------------------------------------------ #
 
-    async def _forward_route(self, payload: dict, parent: Optional[str]) -> None:
+    async def _forward_route(self, payload: dict, parent: Optional[TraceContext]) -> None:
         # En-route serving: the first node holding the file answers a
         # lookup immediately (the simulator's forward-hook behaviour).
         if payload["purpose"] == "past-lookup":
@@ -69,7 +69,7 @@ class LiveStorageNode(LiveNode):
                 return
         await super()._forward_route(payload, parent)
 
-    async def _deliver_route(self, payload: dict, header: Optional[str]) -> None:
+    async def _deliver_route(self, payload: dict, header: Optional[TraceContext]) -> None:
         purpose = payload["purpose"]
         if purpose == "past-insert":
             await self._insert_as_root(payload, header)
@@ -79,7 +79,7 @@ class LiveStorageNode(LiveNode):
         else:
             await super()._deliver_route(payload, header)
 
-    async def _serve(self, payload: dict, replica, parent: Optional[str]) -> None:
+    async def _serve(self, payload: dict, replica, parent: Optional[TraceContext]) -> None:
         """Answer a lookup from this node: with the *replica* a node on
         the route holds, or (``None``, at the root) with not-found."""
         found = replica is not None
@@ -103,7 +103,7 @@ class LiveStorageNode(LiveNode):
     # insert: root-side fan-out with async ack collection
     # ------------------------------------------------------------------ #
 
-    async def _insert_as_root(self, payload: dict, parent: Optional[str]) -> None:
+    async def _insert_as_root(self, payload: dict, parent: Optional[TraceContext]) -> None:
         request_id = payload["request_id"]
         obs = self.cluster.obs
         tracing = obs.enabled and parent is not None
@@ -149,7 +149,7 @@ class LiveStorageNode(LiveNode):
             if tracing:
                 obs.traces.record(ctx, "insert-root", start=start,
                                   node_id=f"{self.node_id:x}", outcome=refusal)
-                header = ctx.to_traceparent()
+                header = ctx
             await self._send_result(payload["client"], _failure(request_id, refusal),
                                     header)
             return
@@ -163,7 +163,7 @@ class LiveStorageNode(LiveNode):
             # The root's insert context: the final insert-result (sent
             # from whichever ack completes the fan-out) stays on this
             # operation's trace.
-            "header": ctx.to_traceparent() if ctx is not None else None,
+            "header": ctx,
             "expiry": asyncio.get_running_loop().call_later(
                 PENDING_INSERT_TTL, self._expire_pending_insert, request_id
             ),
@@ -190,7 +190,7 @@ class LiveStorageNode(LiveNode):
         await self._maybe_finish_insert(request_id)
 
     async def _send_store_request(self, replica_id: int, pending: dict,
-                                  header: Optional[str]) -> None:
+                                  header: Optional[TraceContext]) -> None:
         await self._send(
             replica_id,
             Message(
@@ -206,7 +206,7 @@ class LiveStorageNode(LiveNode):
         )
 
     async def _repoke_pending(self, pending: dict,
-                              parent: Optional[str] = None) -> None:
+                              parent: Optional[TraceContext] = None) -> None:
         """Re-send store requests to the replicas still missing an ack
         (their request or their ack was lost).  *parent* is the retry
         attempt's trace context: the repoke span lands under the attempt
@@ -308,7 +308,7 @@ class LiveStorageNode(LiveNode):
         self._completed_inserts[request_id] = result
 
     async def _send_result(self, client: int, result: dict,
-                           header: Optional[str]) -> None:
+                           header: Optional[TraceContext]) -> None:
         await self._send(client, Message(kind="insert-result", sender=self.node_id,
                                          payload=result, traceparent=header))
 

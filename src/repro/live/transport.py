@@ -33,12 +33,12 @@ callers that need the distinction read ``.status`` / ``.peer_dead`` /
 A :class:`FaultPlan` can be attached (construction or later, via the
 public ``faults`` attribute) to inject message-level chaos: drops,
 duplicates, extra delay, and reorders.  Every message carries an
-optional W3C-style ``traceparent`` header; when a ``TraceCollector``
-is attached the transport records a point span for each fault it
-injects on a traced message.  When a ``CostLedger`` is attached every
-send is charged -- the in-process transport prices by the wire-size
-model (real payload bytes for data-bearing messages), the socket
-transport by the *actual* encoded frame length.
+optional ``traceparent`` header, a :class:`TraceContext` value; when a
+``TraceCollector`` is attached the transport records a point span for
+each fault it injects on a traced message.  When a ``CostLedger`` is
+attached every send is charged -- the in-process transport prices by
+the wire-size model (real payload bytes for data-bearing messages), the
+socket transport by the *actual* encoded frame length.
 
 :data:`LIVE_KINDS` is the one statement of what each live message
 carries: the socket codec writes each kind from it, and the socket
@@ -59,7 +59,7 @@ from repro.core.ids import SALT_BITS
 from repro.crypto.hashing import FILE_ID_BITS, NODE_ID_BITS
 from repro.netsim.latency import LatencyModel
 from repro.obs.cost_model import ID_BYTES, WIRE_HEADER_BYTES
-from repro.obs.trace_context import TraceCollector, TraceContext, traceparent_fields
+from repro.obs.trace_context import TraceCollector, TraceContext
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.faults.plan import MessageFault
@@ -124,7 +124,7 @@ class Message:
     sender: int
     payload: dict = field(default_factory=dict)
     message_id: int = 0
-    traceparent: Optional[str] = None
+    traceparent: Optional[TraceContext] = None
 
     def wire_bytes(self, model) -> int:
         """Estimated serialized size under a cost model.
@@ -386,14 +386,16 @@ LIVE_KINDS: Dict[str, LiveKind] = {
 
 def well_formed(message: Message, registered: Container) -> bool:
     """Whether *message* fits its row of :data:`LIVE_KINDS`: a known
-    kind from an allowed sender, a parseable traceparent (or none), and
-    a payload of exactly the listed fields, each of its type."""
+    kind from an allowed sender, a trace context with nonzero ids (or
+    none), and a payload of exactly the listed fields, each of its type."""
     row = LIVE_KINDS.get(message.kind)
     payload = message.payload
     if (row is None or type(payload) is not dict
             or not row.sender.fits(message.sender, registered)):
         return False
-    if message.traceparent is not None and traceparent_fields(message.traceparent) is None:
+    ctx = message.traceparent
+    if ctx is not None and (type(ctx) is not TraceContext or not ctx.trace_id.strip("0")
+                            or not ctx.span_id.strip("0")):
         return False
     schema = row.payload
     if schema is None:
@@ -623,7 +625,6 @@ class TransportBase:
         trace (traced messages only; untraced traffic costs one test)."""
         if self.traces is None or message.traceparent is None:
             return
-        ctx = TraceContext.from_traceparent(message.traceparent)
         attributes = {
             "fault": fault,
             "kind": message.kind,
@@ -633,7 +634,7 @@ class TransportBase:
         if amount:
             attributes["amount"] = round(amount, 6)
         self.traces.record(
-            ctx.child("wire-fault", fault, message.message_id),
+            message.traceparent.child("wire-fault", fault, message.message_id),
             "wire-fault",
             **attributes,
         )

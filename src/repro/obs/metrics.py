@@ -235,6 +235,7 @@ class MetricsRegistry:
         self._histograms: Dict[Tuple[str, LabelItems], Histogram] = {}
         # Instrument name -> HELP text for the Prometheus exposition.
         self._help: Dict[str, str] = {}
+        self._by_label: Dict[str, Dict[str, Counter]] = {}
 
     def describe(self, name: str, help_text: str) -> None:
         """Attach a HELP text to the instrument family *name* (the
@@ -254,6 +255,13 @@ class MetricsRegistry:
             counter = Counter(name, key[1])
             self._counters[key] = counter
         return counter
+
+    def counters_by_label(self, name: str) -> Dict[str, Counter]:
+        """A memo, for a hot path, of *name*'s counters by the value of
+        their one label, which the caller fills from :meth:`counter`.
+        The registry owns it, so :meth:`reset` empties it along with the
+        counters it drops, and the caller's next miss re-registers."""
+        return self._by_label.setdefault(name, {})
 
     def gauge(self, name: str, **labels: str) -> Gauge:
         key = (name, _label_items(labels)) if labels else (name, ())
@@ -306,6 +314,8 @@ class MetricsRegistry:
 
     def reset(self) -> None:
         self._counters.clear()
+        for memo in self._by_label.values():
+            memo.clear()
         self._gauges.clear()
         self._histograms.clear()
 

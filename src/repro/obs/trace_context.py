@@ -1,4 +1,4 @@
-"""W3C-style trace context and the distributed span collector.
+"""Trace contexts and the distributed span collector.
 
 One client operation on the live cluster -- an ``insert``, ``lookup``
 or raw ``route`` -- is executed by many nodes: the origin, every
@@ -9,14 +9,18 @@ real distributed tracer does, and :class:`TraceCollector.assemble`
 rebuilds the per-operation span tree afterwards from the parent links
 alone.
 
-Context propagates inside live messages as a ``traceparent`` header in
-the W3C Trace Context format (``00-<trace_id>-<span_id>-<flags>``).
+Context propagates inside live messages as a :class:`TraceContext`
+value in the ``traceparent`` header; over a socket it travels as the
+26 bytes of the W3C binary layout (version, trace id, span id, flags).
 All identifiers are deterministic: trace ids come from an injected
 seeded rng stream, and child span ids are derived with
-:func:`repro.sim.rng.stable_seed` from the parent's ids plus a child
-index -- never from wall-clock time or process randomness -- so a
-seeded run serialises its traces byte-identically (the property the
-live-trace determinism tests pin).
+:func:`derive_span_id` from the parent's ids plus a child index --
+never from wall-clock time or process randomness -- so a seeded run
+serialises its traces byte-identically (the property the live-trace
+determinism tests pin).  A derived id is a sha256, and most spans are
+never read (the collector keeps a bounded window), so a context holds
+the *inputs* of its id and derives it only when something reads it:
+export, assembly, a socket encode, a degraded op's attempt history.
 
 Timestamps are *logical*: the collector's monotonic tick, or sim-time
 when the caller supplies it (the churn simulation stamps its lookup
@@ -34,31 +38,29 @@ from __future__ import annotations
 
 import json
 import random
-import re
 from dataclasses import dataclass
-from itertools import chain
+from hashlib import sha256
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.obs.spans import Span
-from repro.sim.rng import stable_seed
-
-TRACEPARENT_VERSION = "00"
-FLAG_SAMPLED = 0x01
 
 #: Traces per generation.  Once the first generation has filled, a
 #: collector holds between this many and twice this many whole traces.
 TRACE_RETENTION = 1024
 
-_TRACEPARENT_RE = re.compile(
-    r"^(?P<version>[0-9a-f]{2})-(?P<trace_id>[0-9a-f]{32})"
-    r"-(?P<span_id>[0-9a-f]{16})-(?P<flags>[0-9a-f]{2})$"
-)
-
 
 def derive_span_id(*parts: object) -> str:
-    """A 16-hex-digit span id derived deterministically from *parts*."""
-    return f"{stable_seed(*parts):016x}"
+    """A 16-hex-digit span id derived deterministically from *parts*:
+    ``f"{stable_seed(*parts):016x}"`` without the int round trip."""
+    return sha256("\x1f".join(map(str, parts)).encode()).digest()[:8].hex()
+
+
+def _derive(trace_id: str, parent_id: Optional[str], qualifiers: tuple) -> str:
+    """A derived span id: a root's from its trace id and qualifiers, a
+    child's from its parent's span id too."""
+    parents = () if parent_id is None else (parent_id,)
+    return derive_span_id(trace_id, *parents, *qualifiers)
 
 
 def new_trace_id(rng: random.Random) -> str:
@@ -66,72 +68,68 @@ def new_trace_id(rng: random.Random) -> str:
     return f"{rng.getrandbits(128):032x}"
 
 
-def traceparent_fields(header: str) -> Optional[re.Match]:
-    """The fields of a well-formed ``traceparent`` header, or None when
-    it is malformed (wrong field widths, non-hex, all-zero ids)."""
-    match = _TRACEPARENT_RE.match(header)
-    if (match is None or not match["trace_id"].strip("0")
-            or not match["span_id"].strip("0")):
-        return None
-    return match
-
-
-@dataclass(frozen=True)
 class TraceContext:
-    """One position in a trace: which trace, which span, whose child."""
+    """One position in a trace: which trace, which span, whose child.
 
-    trace_id: str
-    span_id: str
-    parent_id: Optional[str] = None
-    sampled: bool = True
+    A value.  The constructor makes an *explicit* context (a decoded
+    header, a loaded export); :meth:`root` and :meth:`child` keep the
+    parent and the qualifiers, and :attr:`span_id` hashes them on first
+    read.  ``_entry``/``_number``: where a collector last numbered it.
+    """
+
+    __slots__ = ("trace_id", "sampled", "_span_id", "_parent", "_qualifiers",
+                 "_entry", "_number")
+
+    def __init__(self, trace_id: str, span_id: Optional[str],
+                 parent_id: Optional[str] = None, sampled: bool = True) -> None:
+        self.trace_id = trace_id
+        self.sampled = sampled
+        self._span_id = span_id
+        self._parent: Union[str, TraceContext, None] = parent_id
+        self._qualifiers: tuple = ()
+        self._entry: Optional[_Trace] = None
+        self._number = 0
 
     @classmethod
     def root(cls, rng: random.Random, sampled: bool = True) -> "TraceContext":
         """Start a new trace; the root span id is derived from the
         trace id so the pair stays a pure function of the rng stream."""
-        trace_id = new_trace_id(rng)
-        return cls(
-            trace_id=trace_id,
-            span_id=derive_span_id(trace_id, "root"),
-            parent_id=None,
-            sampled=sampled,
-        )
+        ctx = cls(new_trace_id(rng), None, None, sampled)
+        ctx._qualifiers = ("root",)
+        return ctx
 
     def child(self, *qualifiers: object) -> "TraceContext":
         """The context a sub-operation runs under.  *qualifiers*
         (attempt number, hop index, replica id, ...) make sibling span
         ids distinct and deterministic -- two runs of the same seeded
         scenario derive identical ids."""
-        return TraceContext(
-            trace_id=self.trace_id,
-            span_id=derive_span_id(self.trace_id, self.span_id, *qualifiers),
-            parent_id=self.span_id,
-            sampled=self.sampled,
-        )
+        ctx = TraceContext(self.trace_id, None, None, self.sampled)
+        ctx._parent = self
+        ctx._qualifiers = qualifiers
+        return ctx
 
-    # ------------------------------------------------------------------ #
-    # wire format
-    # ------------------------------------------------------------------ #
+    @property
+    def parent_id(self) -> Optional[str]:
+        parent = self._parent
+        return parent.span_id if type(parent) is TraceContext else parent
 
-    def to_traceparent(self) -> str:
-        flags = FLAG_SAMPLED if self.sampled else 0
-        return (
-            f"{TRACEPARENT_VERSION}-{self.trace_id}-{self.span_id}-{flags:02x}"
-        )
+    @property
+    def span_id(self) -> str:
+        if self._span_id is None:
+            self._span_id = _derive(self.trace_id, self.parent_id, self._qualifiers)
+        return self._span_id
 
-    @classmethod
-    def from_traceparent(cls, header: str) -> "TraceContext":
-        """Parse a ``traceparent`` header; raises ValueError on any
-        malformation (see :func:`traceparent_fields`)."""
-        match = traceparent_fields(header)
-        if match is None:
-            raise ValueError(f"malformed traceparent: {header!r}")
-        return cls(
-            trace_id=match["trace_id"],
-            span_id=match["span_id"],
-            parent_id=None,  # the wire carries position, not ancestry
-            sampled=bool(int(match["flags"], 16) & FLAG_SAMPLED),
-        )
+    def _key(self) -> tuple:
+        return (self.trace_id, self.span_id, self.parent_id, self.sampled)
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is TraceContext and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"TraceContext{self._key()!r}"
 
 
 @dataclass(frozen=True)
@@ -165,20 +163,58 @@ class SpanRecord:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
-def _span_record(row: tuple) -> SpanRecord:
-    """A retained row (see :class:`TraceCollector`) as a record."""
-    return SpanRecord(*row[1:7], tuple(zip(row[7::2], row[8::2])))
-
-
 class _Trace:
-    """One retained trace: its span rows in collection order, and the
-    per-node child-span counters behind :meth:`TraceCollector.child_seq`."""
+    """One retained trace: its span rows in collection order, the
+    per-node child-span counters behind :meth:`TraceCollector.child_seq`,
+    and how each span number's ids are derived.
 
-    __slots__ = ("rows", "child_seqs")
+    ``derivations[n]`` is one atomic tuple, ``(parent, span_id,
+    *qualifiers)``: *parent* is the parent's number in this entry, its
+    explicit id, or None for a root; *span_id* is None until derived.
+    Reading a number derives it and rewrites its entry as the resolved
+    ``(parent_id, span_id)``, so each id is hashed at most once per
+    retention window.
+    """
+
+    __slots__ = ("rows", "child_seqs", "derivations")
 
     def __init__(self) -> None:
         self.rows: List[tuple] = []
         self.child_seqs: Dict[int, int] = {}
+        self.derivations: List[tuple] = []
+
+    def number(self, ctx: TraceContext) -> int:
+        """*ctx*'s span number in this entry, entered on first use.  A
+        parent not numbered here (recorded later, or numbered in an
+        evicted entry) is entered first, up to a context whose id is
+        known, so a late child still gets the id an eager derivation
+        gives."""
+        if ctx._entry is self:
+            return ctx._number
+        parent = ctx._parent
+        if type(parent) is TraceContext:
+            known = parent._entry is not self and parent._span_id is not None
+            parent = parent._span_id if known else self.number(parent)
+        ctx._entry = self
+        ctx._number = len(self.derivations)
+        self.derivations.append((parent, ctx._span_id, *ctx._qualifiers))
+        return ctx._number
+
+    def ids(self, trace_id: str, number: int) -> Tuple[str, Optional[str]]:
+        """The (span_id, parent_id) of span *number*, derived once."""
+        parent, span_id, *qualifiers = self.derivations[number]
+        if type(parent) is int:
+            parent = self.ids(trace_id, parent)[0]
+        if span_id is None:
+            span_id = _derive(trace_id, parent, qualifiers)
+        self.derivations[number] = (parent, span_id)
+        return span_id, parent
+
+    def span_record(self, row: tuple) -> SpanRecord:
+        """A retained row (see :class:`TraceCollector`) as a record."""
+        trace_id = row[1]
+        return SpanRecord(trace_id, *self.ids(trace_id, row[2]), *row[3:6],
+                          tuple(sorted(zip(row[6::2], row[7::2]))))
 
 
 class TraceCollector:
@@ -199,14 +235,16 @@ class TraceCollector:
     trace is therefore never cut in half unless that many traces start
     while it is in flight.
 
-    A retained span is one flat tuple, ``(seq, trace_id, span_id,
-    parent_id, name, start, end, key, value, key, value, ...)``, and
-    becomes a :class:`SpanRecord` only on read-out.  CPython's cyclic
-    GC stops tracking a tuple once it sees only atomic values inside,
-    so retained spans cost its full passes nothing.  The attributes are
-    spliced in rather than nested as pairs because a nested tuple is
-    untracked only after its members are, one level per pass -- a row
-    would be promoted to the oldest generation still tracked.
+    A retained span is one flat tuple, ``(seq, trace_id, number, name,
+    start, end, key, value, key, value, ...)``, where *number* names
+    the span within its trace entry (:class:`_Trace`), and becomes a
+    :class:`SpanRecord` -- ids derived, attributes sorted -- only on
+    read-out.  CPython's cyclic GC stops tracking a tuple once it sees
+    only atomic values inside, so retained spans and their derivations
+    cost its full passes nothing.  The attributes are spliced in rather
+    than nested as pairs because a nested tuple is untracked only after
+    its members are, one level per pass -- a row would be promoted to
+    the oldest generation still tracked.
     """
 
     def __init__(self) -> None:
@@ -222,8 +260,7 @@ class TraceCollector:
         return self._clock
 
     def _find(self, trace_id: str) -> Optional[_Trace]:
-        trace = self._current.get(trace_id)
-        return trace if trace is not None else self._older.get(trace_id)
+        return self._current.get(trace_id) or self._older.get(trace_id)
 
     def _trace(self, trace_id: str) -> _Trace:
         """The retained entry for *trace_id*, opened (rotating the
@@ -262,18 +299,18 @@ class TraceCollector:
             start = self.tick()
         if end is None:
             end = start
-        self._add(ctx.trace_id, ctx.span_id, ctx.parent_id, name, start,
-                  end, sorted(attributes.items()))
+        self._add(ctx, name, start, end, attributes.items())
 
-    def _add(self, trace_id: str, span_id: str, parent_id: Optional[str],
-             name: str, start: float, end: float,
+    def _add(self, ctx: TraceContext, name: str, start: float, end: float,
              attributes: Iterable[Tuple[str, object]]) -> None:
-        """Retain one span; *attributes* are its sorted (key, value)
-        pairs."""
-        rows = self._trace(trace_id).rows
-        self._seq += 1
-        rows.append((self._seq, trace_id, span_id, parent_id, name, start,
-                     end, *chain.from_iterable(attributes)))
+        """Retain one span; *attributes* are its (key, value) pairs."""
+        trace = self._trace(ctx.trace_id)
+        number = ctx._number if ctx._entry is trace else trace.number(ctx)
+        self._seq = seq = self._seq + 1
+        row = [seq, ctx.trace_id, number, name, start, end]
+        for pair in attributes:
+            row += pair
+        trace.rows.append(tuple(row))
 
     # ------------------------------------------------------------------ #
     # read-out
@@ -292,7 +329,8 @@ class TraceCollector:
 
     def records(self) -> List[SpanRecord]:
         """The retained spans in collection order."""
-        return [_span_record(row) for row in self._rows()]
+        find = self._find
+        return [find(row[1]).span_record(row) for row in self._rows()]
 
     def trace_ids(self) -> List[str]:
         """Ids of the retained traces with spans, in first-seen order
@@ -308,7 +346,7 @@ class TraceCollector:
         trace = self._find(trace_id)
         if trace is None:
             return []
-        return [_span_record(row) for row in trace.rows]
+        return [trace.span_record(row) for row in trace.rows]
 
     def __len__(self) -> int:
         """Retained spans."""
@@ -416,13 +454,11 @@ def load_trace_jsonl(path: Union[str, Path]) -> TraceCollector:
         try:
             end = float(obj["end"])
             collector._add(
-                obj["trace_id"],
-                obj["span_id"],
-                obj["parent_id"],
+                TraceContext(obj["trace_id"], obj["span_id"], obj["parent_id"]),
                 obj["name"],
                 float(obj["start"]),
                 end,
-                sorted(obj["attributes"].items()),
+                obj["attributes"].items(),
             )
         except (KeyError, TypeError, AttributeError) as exc:
             raise ValueError(f"line {line_number}: not a span record") from exc

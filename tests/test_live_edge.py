@@ -38,6 +38,7 @@ from repro.live.transport import (
     well_formed,
 )
 from repro.obs.telemetry import TelemetryCollector
+from repro.obs.trace_context import TraceContext
 from tests.test_wire_framing import messages
 
 
@@ -162,7 +163,7 @@ class TestKindTable:
         """Extra fields included: the trace context belongs in the
         header, and a payload copy of it no longer fits."""
         _, by_shape, registered = inprocess
-        header = "00-" + "ab" * 16 + "-" + "cd" * 8 + "-01"
+        header = TraceContext("ab" * 16, "cd" * 8)
         for key, message in by_shape.items():
             assert not well_formed(with_payload(message, traceparent=header),
                                    registered), key
@@ -220,9 +221,11 @@ class TestKindTable:
                 assert not well_formed(spoiled, registered), (shape(message), name)
 
     def test_a_malformed_traceparent_is_refused(self, inprocess):
+        """Not a context at all (the text header included), or a context
+        with a zero id."""
         _, by_shape, registered = inprocess
         message = by_shape[("announce", None)]
-        for header in ("garbage", "00-" + "0" * 32 + "-" + "cd" * 8 + "-01"):
+        for header in ("garbage", "00-" + "ab" * 16 + "-" + "cd" * 8 + "-01", *ZERO_IDS):
             spoiled = Message(kind=message.kind, sender=message.sender,
                               payload={}, traceparent=header)
             assert not well_formed(spoiled, registered), header
@@ -328,8 +331,7 @@ def edge():
 FOREIGN_IDS = [1, (1 << 127) + 5, 1 << 131]
 #: Ints the wire writes (zigzag, up to 70 bits) past ``INT``'s 64.
 WIDE_INTS = [1 << 64, -(1 << 64), (1 << 69) - 1]
-ZERO_IDS = ["00-" + "0" * 32 + "-" + "cd" * 8 + "-01",
-            "00-" + "ab" * 16 + "-" + "0" * 16 + "-01"]
+ZERO_IDS = [TraceContext("0" * 32, "cd" * 8), TraceContext("ab" * 16, "0" * 16)]
 
 
 def fields_of(message, *types):

@@ -29,6 +29,7 @@ from repro.live.net import CodecError, SocketTransport, encode_message
 from repro.live.net.codec import SHAPES, WIRE_VERSION
 from repro.live.net.framing import encode_frame
 from repro.live.storage import LiveStorageCluster
+from repro.obs.trace_context import TraceContext
 from tests.test_wire_framing import shape_id
 
 pytestmark = pytest.mark.socket
@@ -575,6 +576,23 @@ class TestClusterLifecycleOverSockets:
             "quiesced": True, "still_running": True, "routed": True,
         }
 
+    @pytest.mark.parametrize("version, flags", [(1, 1), (0, 2)],
+                             ids=["version-01", "flags-02"])
+    def test_foreign_frame_with_a_bad_traceparent_is_discarded(self, version, flags):
+        """A node reads traceparent version 00 and flags 00/01 only; any
+        other byte there is refused by the decoder, not carried along."""
+        def frame(cluster):
+            node = cluster.live_ids()[1]
+            return (bytes([WIRE_VERSION, shape_id("announce")]) + node.to_bytes(16, "big")
+                    + b"\x00\x01" + bytes([version])
+                    + bytes.fromhex("ab" * 16 + "cd" * 8) + bytes([flags]))
+
+        after = run(_after_foreign_frame(frame, lambda seen: seen["discarded"]))
+        assert after == {
+            "unknown": 0, "discarded": 1, "in_flight": 0, "idle": True,
+            "quiesced": True, "still_running": True, "routed": True,
+        }
+
     def test_foreign_frame_missing_a_field_is_counted_not_fatal(self):
         """A ``route`` frame that ends after its header carries none of
         its purpose's fields: the decoder refuses it, so no handler sees
@@ -622,7 +640,7 @@ class TestClusterLifecycleOverSockets:
                         + node.to_bytes(16, "big") + b"\x00\x00\x01" + payload)
             traceparent = None
             if sender == "zero-trace-id":
-                traceparent = "00-" + "0" * 32 + "-" + "cd" * 8 + "-01"
+                traceparent = TraceContext("0" * 32, "cd" * 8)
             return encode_message(Message(
                 kind=kind, payload=payload, traceparent=traceparent,
                 sender=node if sender in (None, "zero-trace-id") else sender))

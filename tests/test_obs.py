@@ -94,6 +94,20 @@ class TestMetricsRegistry:
         registry.reset()
         assert registry.snapshot() == {"counters": {}, "gauges": {}, "histograms": {}}
 
+    def test_reset_empties_a_counters_by_label_memo(self):
+        """A memo holder keeps the dict, not the counters: after a reset
+        its next lookup misses and registers a fresh counter."""
+        registry = MetricsRegistry()
+        memo = registry.counters_by_label("live.messages")
+        memo["route"] = registry.counter("live.messages", kind="route")
+        memo["route"].increment()
+        registry.reset()
+        assert memo == {}
+        assert registry.counters_by_label("live.messages") is memo
+        memo["route"] = registry.counter("live.messages", kind="route")
+        memo["route"].increment()
+        assert registry.counters() == [('live.messages{kind="route"}', 1)]
+
     def test_prometheus_exposition(self):
         registry = MetricsRegistry()
         registry.counter("route.requests", category="join").increment(7)

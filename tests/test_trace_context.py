@@ -6,6 +6,8 @@ import random
 
 import pytest
 
+from repro.live.net import CodecError, decode_message, encode_message
+from repro.live.transport import Message, well_formed
 from repro.obs import trace_context
 from repro.obs.claims import (
     ClaimVerdict,
@@ -23,6 +25,15 @@ from repro.obs.trace_context import (
 )
 
 
+def announce(ctx):
+    return Message(kind="announce", sender=1, traceparent=ctx)
+
+
+#: A traced ``announce`` (no payload fields) up to its 26 context bytes.
+ANNOUNCE_HEAD = encode_message(announce(TraceContext("1" * 32, "1" * 16)))[:-26]
+IDS = bytes.fromhex("ab" * 16 + "cd" * 8)
+
+
 class TestTraceContext:
     def test_root_is_deterministic_per_stream(self):
         a = TraceContext.root(random.Random(9))
@@ -32,10 +43,8 @@ class TestTraceContext:
         assert len(a.trace_id) == 32 and len(a.span_id) == 16
 
     def test_traceparent_round_trip(self):
-        ctx = TraceContext.root(random.Random(1))
-        header = ctx.to_traceparent()
-        assert header.startswith("00-")
-        parsed = TraceContext.from_traceparent(header)
+        ctx = TraceContext.root(random.Random(1)).child("hop", 0)
+        parsed = decode_message(encode_message(announce(ctx))).traceparent
         assert parsed.trace_id == ctx.trace_id
         assert parsed.span_id == ctx.span_id
         assert parsed.sampled
@@ -44,21 +53,44 @@ class TestTraceContext:
 
     def test_unsampled_flag_round_trips(self):
         ctx = TraceContext.root(random.Random(2), sampled=False)
-        assert ctx.to_traceparent().endswith("-00")
-        assert not TraceContext.from_traceparent(ctx.to_traceparent()).sampled
+        wire = encode_message(announce(ctx))
+        assert wire.endswith(bytes.fromhex(ctx.trace_id + ctx.span_id) + b"\x00")
+        assert not decode_message(wire).traceparent.sampled
 
-    @pytest.mark.parametrize("header", [
+    @pytest.mark.parametrize("malformed, refused_by", [
+        (b"", "decoder"),                                   # no context bytes
+        (b"\x00" + IDS[:10] + b"\x01", "decoder"),           # wrong widths
+        (TraceContext("g" * 32, "1" * 16), "encoder"),       # non-hex
+        (b"\x00" + bytes(16) + b"\x11" * 8 + b"\x01", "edge"),  # zero trace id
+        (b"\x00" + b"\x11" * 16 + bytes(8) + b"\x01", "edge"),  # zero span id
+        (b"\x00" + IDS + b"\x01extra", "decoder"),           # trailing bytes
+        (b"\xff" + IDS + b"\x01", "decoder"),                # version ff
+        (b"\x01" + IDS + b"\x01", "decoder"),                # version 01
+        (b"\x00" + IDS + b"\x02", "decoder"),                # flags 02
+    ], ids=[
         "",
-        "00-abc-def-01",                                   # wrong widths
-        "00-" + "g" * 32 + "-" + "1" * 16 + "-01",          # non-hex
-        "00-" + "0" * 32 + "-" + "1" * 16 + "-01",          # zero trace id
-        "00-" + "1" * 32 + "-" + "0" * 16 + "-01",          # zero span id
+        "00-abc-def-01",
+        "00-" + "g" * 32 + "-" + "1" * 16 + "-01",
+        "00-" + "0" * 32 + "-" + "1" * 16 + "-01",
+        "00-" + "1" * 32 + "-" + "0" * 16 + "-01",
         "00-" + "1" * 32 + "-" + "1" * 16 + "-01-extra",
         "ZZ-" + "1" * 32 + "-" + "1" * 16 + "-01",
+        "version-01",
+        "flags-02",
     ])
-    def test_malformed_traceparent_rejected(self, header):
-        with pytest.raises(ValueError):
-            TraceContext.from_traceparent(header)
+    def test_malformed_traceparent_rejected(self, malformed, refused_by):
+        """Each malformation the W3C text header could carry (the ids
+        name it as text), as the binary context now carries it: a
+        context the encoder cannot write, bytes the decoder refuses, or
+        a zero id that decodes for the edge to refuse."""
+        if refused_by == "encoder":
+            with pytest.raises(CodecError, match="traceparent"):
+                encode_message(announce(malformed))
+        elif refused_by == "decoder":
+            with pytest.raises(CodecError):
+                decode_message(ANNOUNCE_HEAD + malformed)
+        else:
+            assert not well_formed(decode_message(ANNOUNCE_HEAD + malformed), {1})
 
     def test_child_ids_deterministic_and_distinct(self):
         root = TraceContext.root(random.Random(3))
@@ -67,6 +99,26 @@ class TestTraceContext:
         child = root.child("hop", 0)
         assert child.parent_id == root.span_id
         assert child.trace_id == root.trace_id
+
+    def test_ids_are_derived_on_read_and_once(self, monkeypatch):
+        derived = []
+
+        def counting(*parts):
+            derived.append(parts)
+            return derive_span_id(*parts)
+
+        monkeypatch.setattr(trace_context, "derive_span_id", counting)
+        collector = TraceCollector()
+        root = TraceContext.root(random.Random(4))
+        hop = root.child("attempt", 0).child(1, 0, "hop")
+        collector.record(hop, "hop")
+        collector.record(root, "op")
+        assert derived == []
+        exported = collector.to_jsonl()
+        assert len(derived) == 3  # hop, its unrecorded parent, the root
+        assert collector.to_jsonl() == exported and len(derived) == 3
+        assert hop.span_id == derive_span_id(
+            root.trace_id, hop.parent_id, 1, 0, "hop")
 
     def test_derive_span_id_shape(self):
         span_id = derive_span_id("a", 1, None)
@@ -212,6 +264,53 @@ class TestTraceRetention:
         assert collector.evicted_traces == 4
         assert collector.child_seq(first.trace_id, 1) == 0
 
+    @pytest.mark.parametrize("read_first", [False, True],
+                             ids=["never-read", "read-before-eviction"])
+    def test_a_late_child_of_an_evicted_trace_gets_the_eager_id(self, read_first):
+        """The hop's entry, and its derivations, are dropped before its
+        child and its parent are recorded: the chain is entered again
+        into the trace's new entry (or, if the hop's id was read, the
+        child names it), and every id is the one an eager derivation
+        gives."""
+        collector = TraceCollector()
+        first, *others = self._roots(9)
+        attempt = first.child("attempt", 0)
+        hop = attempt.child(7, 0, "hop")
+        collector.record(hop, "hop")
+        if read_first:
+            hop.span_id
+        for root in others:  # 2 x TRACE_RETENTION newer traces
+            collector.record(root, "op")
+        assert collector.trace_records(first.trace_id) == []
+        collector.record(hop.child(9, 0, "store"), "store")
+        collector.record(attempt, "attempt")
+        collector.record(first, "op")
+        root_id = derive_span_id(first.trace_id, "root")
+        attempt_id = derive_span_id(first.trace_id, root_id, "attempt", 0)
+        hop_id = derive_span_id(first.trace_id, attempt_id, 7, 0, "hop")
+        store_id = derive_span_id(first.trace_id, hop_id, 9, 0, "store")
+        assert [(r.name, r.span_id, r.parent_id)
+                for r in collector.trace_records(first.trace_id)] == [
+            ("store", store_id, hop_id),
+            ("attempt", attempt_id, root_id),
+            ("op", root_id, None),
+        ]
+
+    def test_export_round_trips_after_eviction(self, tmp_path):
+        collector = TraceCollector()
+        roots = self._roots(11)
+        for root in roots:
+            leaf = root.child("a").child("b")
+            collector.record(leaf, "leaf")
+            collector.record(root, "op")
+            collector.record(leaf.child("c"), "late")
+        assert collector.evicted_traces == 4
+        path = tmp_path / "traces.jsonl"
+        assert collector.write_jsonl(path) == 7 * 3
+        loaded = load_trace_jsonl(path)
+        assert loaded.to_jsonl() == collector.to_jsonl()
+        assert loaded.trace_ids() == collector.trace_ids()
+
     def test_records_and_export_keep_collection_order(self, tmp_path):
         collector = TraceCollector()
         roots = self._roots(6)
@@ -233,9 +332,20 @@ class TestTraceRetention:
         collector = TraceCollector()
         for root in self._roots(3):
             collector.record(root, "op", outcome="ok", hops=2, delivered=True)
+            collector.record(root.child("a").child(7, 0, "b"), "leaf", hops=1)
         gc.collect()
         rows = collector._rows()
         assert rows and not any(gc.is_tracked(row) for row in rows)
+        for read in (False, True):  # pending, then resolved by a read
+            if read:
+                collector.to_jsonl()
+                gc.collect()
+            derivations = [derivation
+                           for generation in (collector._older, collector._current)
+                           for trace in generation.values()
+                           for derivation in trace.derivations]
+            assert len(derivations) == 9
+            assert not any(gc.is_tracked(derivation) for derivation in derivations)
 
 
 # ---------------------------------------------------------------------- #

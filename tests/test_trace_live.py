@@ -7,11 +7,14 @@ the same scenario export byte-identical JSONL.
 """
 
 import asyncio
+import hashlib
 import random
 
 import pytest
 
+from repro.core.errors import DegradedError
 from repro.core.files import SyntheticData
+from repro.core.ids import storage_key
 from repro.core.smartcard import make_uncertified_card
 from repro.faults.plan import FaultPlan
 from repro.live.storage import LiveStorageCluster
@@ -212,3 +215,82 @@ class TestBoundedRetention:
         for traces in (short, long):
             assert len(traces.trace_ids()) <= 2 * RETENTION
             assert len(traces) <= 2 * RETENTION * widest
+
+
+#: 0.5 s per attempt: hundreds of times an in-process op, so only a drop
+#: ever times an attempt out, and the run stays byte-deterministic.
+PINNED_TIMEOUT = 2.0
+
+#: sha256 of the scenario's trace export.  Any change to a span, a span
+#: id, an attribute or the row order changes it; a change that means to
+#: do so recomputes it and says why.
+PINNED_TRACE_SHA256 = (
+    "8e2c77163fb2a6f0be2f2b95ae8e93ad5d3e34d5ef9656ee3659d46f4fbd83e0"
+)
+
+
+async def pinned_scenario():
+    """200 storage ops (50 inserts, then 150 lookups), one at a time,
+    on 24 nodes under message drops and duplicates: retries, attempts,
+    repokes and wire faults all land in the export."""
+    cluster = LiveStorageCluster(seed=13)
+    await cluster.start(24, join_concurrency=6)
+    cluster.transport.faults = FaultPlan(seed=13, drop_rate=0.01,
+                                         duplicate_rate=0.05)
+    rng = random.Random(13)
+    pairs = make_certs(50, seed=13)
+    requests = [
+        {"key": certificate.storage_key(), "purpose": "past-insert",
+         "certificate": certificate, "data": data}
+        for certificate, data in pairs
+    ] + [
+        {"key": storage_key(certificate.file_id), "purpose": "past-lookup",
+         "file_id": certificate.file_id}
+        for certificate, _ in (rng.choice(pairs) for _ in range(150))
+    ]
+    for payload in requests:
+        try:
+            await cluster._request(rng.choice(cluster.live_ids()), payload,
+                                   PINNED_TIMEOUT)
+        except DegradedError:
+            pass
+    await cluster.shutdown()
+    return cluster
+
+
+class TestPinnedTraceBytes:
+    """Span ids, attributes and row order are pinned across commits, not
+    just across two runs of one commit."""
+
+    def test_export_digest_is_pinned(self):
+        traces = run(pinned_scenario()).obs.traces
+        exported = traces.to_jsonl()
+        names = {record.name for record in traces.records()}
+        assert {"attempt", "wire-fault", "hop", "store", "serve"} <= names
+        assert any(r.name == "attempt" and dict(r.attributes)["attempt"] > 1
+                   for r in traces.records())
+        digest = hashlib.sha256(exported.encode("utf-8")).hexdigest()
+        assert digest == PINNED_TRACE_SHA256
+
+
+class TestDegradedAttemptHistory:
+    def test_history_span_ids_are_the_exported_attempt_spans(self):
+        """The attempt log keeps contexts and derives their ids only when
+        the degraded error renders it: the same ids the export reads."""
+
+        async def scenario():
+            cluster = LiveStorageCluster(seed=9)
+            await cluster.start(8, join_concurrency=4)
+            cluster.transport.faults = FaultPlan(seed=9, drop_rate=1.0)
+            ids = cluster.live_ids()
+            with pytest.raises(DegradedError) as caught:
+                await cluster.route(ids[3], ids[0], timeout=0.4)
+            await cluster.shutdown()
+            return cluster, caught.value
+
+        cluster, error = run(scenario())
+        attempts = [record for record in cluster.obs.traces.trace_records(error.trace_id)
+                    if record.name == "attempt"]
+        assert len(error.history) == len(attempts) == cluster.retry.attempts
+        assert [record.span_id for record in error.history] == \
+            [record.span_id for record in attempts]

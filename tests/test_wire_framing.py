@@ -54,6 +54,7 @@ from repro.live.transport import (
     Message,
     well_formed,
 )
+from repro.obs.trace_context import TraceContext
 
 
 class TestFrameRoundTrip:
@@ -220,7 +221,7 @@ KEY = 0x0123_4567_89AB_CDEF_0123_4567_89AB_CDEF
 NODE_A, NODE_B = 0xA1 << 120, 0xB2 << 120
 COLLECTOR = 1 << 130
 REGISTERED = {NODE_A, NODE_B, COLLECTOR}
-TRACEPARENT = "00-" + "ab" * 16 + "-" + "cd" * 8 + "-01"
+TRACEPARENT = TraceContext("ab" * 16, "cd" * 8)
 DATA = RealData(b"certified content")
 CERTIFICATE = _card().issue_file_certificate("file", DATA, 3, salt=7,
                                              insertion_date=0)
@@ -481,9 +482,11 @@ def strategy(field):
     return STRATEGY_OF[field.form](*(strategy(item) for item in field.items))
 
 
-traceparents = st.binary(min_size=26, max_size=26).map(
-    lambda raw: "-".join((raw[:1].hex(), raw[1:17].hex(), raw[17:25].hex(),
-                          raw[25:].hex())))
+traceparents = st.builds(
+    lambda trace_id, span_id, sampled: TraceContext(trace_id.hex(), span_id.hex(),
+                                                    None, sampled),
+    st.binary(min_size=16, max_size=16), st.binary(min_size=8, max_size=8),
+    st.booleans())
 
 
 @st.composite
@@ -604,8 +607,10 @@ class TestValueGrammar:
         with pytest.raises(CodecError):
             encode_message(Message(kind="health-probe", sender=-1,
                                    payload={"request_id": 1}))
-        for header in ("garbage", TRACEPARENT.upper(), TRACEPARENT + " ",
-                       TRACEPARENT.replace("-", "_"), 7):
+        for header in ("garbage", "00-" + "ab" * 16 + "-" + "cd" * 8 + "-01", 7,
+                       TraceContext("AB" * 16, "cd" * 8), TraceContext("ab" * 15, "cd" * 8),
+                       TraceContext("ab" * 16 + " ", "cd" * 8),
+                       TraceContext("ab" * 16, "cd" * 9), TraceContext(7, "cd" * 8)):
             with pytest.raises(CodecError, match="traceparent"):
                 encode_message(Message(kind="announce", sender=1,
                                        traceparent=header))
@@ -794,9 +799,9 @@ class TestHostileBytes:
                 decode_message(bytes([WIRE_VERSION, unknown]) + NODE_HEADER)
 
     def test_a_zero_trace_id_travels_for_the_edge_to_refuse(self):
-        """The wire carries any 26 bytes of traceparent; whether the
-        ids are zero is the edge's to judge."""
-        zero = "00-" + "0" * 32 + "-" + "cd" * 8 + "-01"
+        """The wire carries any trace and span id; whether the ids are
+        zero is the edge's to judge."""
+        zero = TraceContext("0" * 32, "cd" * 8)
         wire = (head("announce")[:-1] + b"\x01" + bytes(17)
                 + bytes.fromhex("cd" * 8) + b"\x01")
         assert encode_message(Message(kind="announce", sender=1,
@@ -806,6 +811,17 @@ class TestHostileBytes:
         assert not well_formed(decoded, {1})
         with pytest.raises(CodecError, match="neither 0 nor 1"):
             decode_message(head("announce")[:-1] + b"\x02")
+
+    @pytest.mark.parametrize("version, flags", [(1, 1), (0xFF, 0), (0, 2), (0, 0x81)])
+    def test_a_bad_traceparent_version_or_flags_is_refused(self, version, flags):
+        """Version 00 and flags 00/01 are all a node reads; other bytes
+        are refused rather than carried along unread."""
+        ids = bytes.fromhex("ab" * 16 + "cd" * 8)
+        traced = head("announce")[:-1] + b"\x01"
+        assert decode_message(traced + b"\x00" + ids + b"\x00").traceparent == \
+            TraceContext("ab" * 16, "cd" * 8, None, False)
+        with pytest.raises(CodecError, match="traceparent version"):
+            decode_message(traced + bytes([version]) + ids + bytes([flags]))
 
     def test_count_is_checked_against_the_smallest_element(self):
         """17 bytes remain: room for 2 eight-byte histogram samples (and
