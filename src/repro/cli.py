@@ -6,7 +6,7 @@ first:
 
 * ``demo``        -- build a network, insert/lookup/reclaim, narrated;
 * ``route``       -- build an overlay and trace one routed message
-                     (``--json`` emits the span tree);
+                     (``--json`` emits its assembled span tree);
 * ``hops``        -- the E1 measurement at chosen sizes;
 * ``fill``        -- the E9 insert-to-exhaustion measurement, compact;
 * ``churn``       -- the E15 availability measurement for one k;
@@ -52,6 +52,7 @@ from repro.core.files import RealData, SyntheticData
 from repro.core.network import PastNetwork
 from repro.core.storage_manager import StoragePolicy
 from repro.obs.recorder import Observer
+from repro.obs.trace_context import TraceContext
 from repro.sim.rng import RngRegistry
 from repro.workloads.capacities import bounded_normal_capacities
 from repro.workloads.filesizes import TraceLikeSizes
@@ -80,7 +81,9 @@ def _cmd_route(args: argparse.Namespace) -> int:
     rng = random.Random(args.seed)
     key = network.space.random_id(rng)
     origin = rng.choice(network.live_ids())
-    result = network.route(key, origin, trace=True)
+    ctx = TraceContext.root(rng)
+    result = network.route(key, origin, trace=ctx)
+    tree = observer.traces.assemble(ctx.trace_id)
     if args.json:
         document = {
             "key": key,
@@ -88,14 +91,14 @@ def _cmd_route(args: argparse.Namespace) -> int:
             "delivered": result.delivered,
             "reason": result.reason,
             "hops": result.hops,
-            "span": result.span.to_dict(),
+            "span": tree.to_dict(),
         }
         print(json.dumps(document, sort_keys=True, indent=2))
         return 0
     fmt = network.space.format_id
-    # The span's hop children carry the rule that fired at decision time,
+    # The route's hop spans carry the rule that fired at decision time,
     # one per path element.
-    rules = [child.attributes["rule"] for child in result.span.children]
+    rules = [child.attributes["rule"] for child in tree.children]
     print(f"key    {fmt(key)}")
     print(f"origin {fmt(origin)}")
     for index, hop in enumerate(result.path):

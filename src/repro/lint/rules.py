@@ -33,7 +33,8 @@ DETERMINISTIC_SCOPES: Tuple[str, ...] = (
 #: after removal so a resurrected import is flagged with its fix.
 DEPRECATED_MODULES: Dict[str, str] = {
     "repro.sim.trace": "repro.obs.metrics",
-    "repro.analysis.tracing": "repro.obs.spans",
+    "repro.analysis.tracing": "repro.obs.trace_context",
+    "repro.obs.spans": "repro.obs.trace_context",
 }
 
 
@@ -519,10 +520,11 @@ class DeprecatedImport(Rule):
     id = "NEW001"
     title = "import of a deprecated shim module"
     rationale = (
-        "the PR 2/3 re-export shims (sim/trace.py, analysis/tracing.py) "
-        "were deleted after their deprecation cycle; any import of them "
-        "now fails at runtime.  This rule catches stale imports at lint "
-        "time and names the replacement module."
+        "deleted modules (the sim/trace.py and analysis/tracing.py "
+        "re-export shims, and obs/spans.py, whose span trees became "
+        "trace_context's flat rows) fail any import at runtime.  This "
+        "rule catches stale imports at lint time and names the "
+        "replacement module."
     )
     domains = ("src", "tests", "benchmarks")
 

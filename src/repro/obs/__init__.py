@@ -1,4 +1,4 @@
-"""Unified observability: metrics registry, event bus, span tracing.
+"""Unified observability: metrics registry, event bus, tracing.
 
 Three dependency-free pillars, shared by the synchronous simulator, the
 discrete-event churn driver, and the live asyncio cluster:
@@ -9,9 +9,11 @@ discrete-event churn driver, and the live asyncio cluster:
 * :mod:`repro.obs.events` -- typed protocol events (``RouteCompleted``,
   ``NodeJoined``, ``InsertRejected``, ...) published to an in-process
   bus with sim-time timestamps and JSONL export;
-* :mod:`repro.obs.spans` -- span trees for multi-hop operations: a route
-  or join produces one root span whose per-hop children carry the
-  routing rule that fired *at decision time*.
+* :mod:`repro.obs.trace_context` -- flat span records under trace
+  contexts, kept by a bounded collector and assembled into per-operation
+  :class:`SpanTree` views.  Live operations, the churn simulation and
+  traced simulator routes and joins all record here; a route's ``hop``
+  spans carry the routing rule that fired *at decision time*.
 
 The :class:`Observer` bundles all three; the :data:`NULL_OBSERVER` is a
 falsy no-op stand-in, so instrumented hot paths guard with a single
@@ -48,13 +50,13 @@ from repro.obs.slo import (
     format_verdict,
     parse_slo,
 )
-from repro.obs.spans import Span
 from repro.obs.telemetry import TelemetryCollector, TelemetryError, render_console
 from repro.obs.timeseries import (
     TimeSeriesRecorder,
     WindowedHistogram,
     WindowedSeries,
 )
+from repro.obs.trace_context import SpanTree, TraceCollector, TraceContext
 
 __all__ = [
     "CHAOS_SLO",
@@ -80,10 +82,12 @@ __all__ = [
     "RouteCompleted",
     "SLOError",
     "SloBreached",
-    "Span",
+    "SpanTree",
     "TelemetryCollector",
     "TelemetryError",
     "TimeSeriesRecorder",
+    "TraceCollector",
+    "TraceContext",
     "WindowedHistogram",
     "WindowedSeries",
     "evaluate_chaos_slo",

@@ -11,23 +11,23 @@ workloads enforce this (<= 2% budget).
 Installing a real :class:`Observer` turns everything on at once: the
 network's message counters land in ``observer.metrics`` (the network
 adopts it as its stats registry), protocol events flow to
-``observer.bus``, and traced operations deposit root spans in
-``observer.spans``.
+``observer.bus``, and traced operations record flat span rows in
+``observer.traces`` (:mod:`repro.obs.trace_context`), bounded by its
+retention window.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
 from repro.obs.events import Event, EventBus, EventRecord, UnpricedKindCharged
 from repro.obs.ledger import CostLedger
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.spans import Span
 from repro.obs.trace_context import TraceCollector
 
 
 class Observer:
-    """A live recorder: metrics registry + event bus + span collection.
+    """A live recorder: metrics registry + event bus + trace collector.
 
     *clock* supplies sim-time timestamps for events (a simulation driver
     typically sets ``observer.clock = engine_now``); without one, all
@@ -46,9 +46,8 @@ class Observer:
         self.clock = clock
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.bus = EventBus(clock=self._now)
-        self.spans: List[Span] = []
-        # Distributed tracing: flat span records keyed by trace id,
-        # assembled into per-operation trees on demand (obs/trace_context).
+        # Tracing: flat span records keyed by trace id, assembled into
+        # per-operation trees on demand (obs/trace_context).
         self.traces = TraceCollector()
         # Cost accounting: message/byte charges per activity category
         # (obs/ledger).  Instrumented layers cache a direct reference so
@@ -78,16 +77,6 @@ class Observer:
     def emit(self, event: Event) -> EventRecord:
         return self.bus.publish(event)
 
-    def span(self, name: str, **attributes: object) -> Span:
-        """Create a root span (callers build children via ``span.child``;
-        the caller decides whether to :meth:`record_span` it)."""
-        return Span(name, **attributes)
-
-    def record_span(self, span: Span) -> Span:
-        """Keep a finished root span for later inspection/export."""
-        self.spans.append(span)
-        return span
-
     def snapshot(self) -> dict:
         return self.metrics.snapshot()
 
@@ -96,7 +85,7 @@ class Observer:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"Observer(events={len(self.bus)}, spans={len(self.spans)}, "
+            f"Observer(events={len(self.bus)}, spans={len(self.traces)}, "
             f"metrics={self.metrics!r})"
         )
 
@@ -117,12 +106,6 @@ class NullObserver:
 
     def emit(self, event: Event) -> None:
         pass
-
-    def span(self, name: str, **attributes: object) -> None:
-        return None
-
-    def record_span(self, span: Span) -> Span:
-        return span
 
     def snapshot(self) -> dict:
         return {"counters": {}, "gauges": {}, "histograms": {}}

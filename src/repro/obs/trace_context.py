@@ -7,7 +7,10 @@ Each participant sees only its own slice of the work, so the layer
 records *flat* span records (trace_id, span_id, parent_id) the way a
 real distributed tracer does, and :class:`TraceCollector.assemble`
 rebuilds the per-operation span tree afterwards from the parent links
-alone.
+alone.  The simulator records the same rows: a traced
+``PastryNetwork.route`` (and a traced join, around its route) writes
+one ``hop`` span per routing decision with the live hop attributes, so
+simulated and live routes assemble into trees of one schema.
 
 Context propagates inside live messages as a :class:`TraceContext`
 value in the ``traceparent`` header; over a socket it travels as the
@@ -42,8 +45,6 @@ from dataclasses import dataclass
 from hashlib import sha256
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple, Union
-
-from repro.obs.spans import Span
 
 #: Traces per generation.  Once the first generation has filled, a
 #: collector holds between this many and twice this many whole traces.
@@ -161,6 +162,54 @@ class SpanRecord:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+
+
+class SpanTree:
+    """One span of an assembled trace with its children, in start order:
+    the read-only view :meth:`TraceCollector.assemble` builds from flat
+    records.  The span's own id joins its attributes, which are kept
+    key-sorted, so a tree serialises and renders deterministically."""
+
+    __slots__ = ("name", "attributes", "start", "duration", "children")
+
+    def __init__(self, record: SpanRecord, children: List["SpanTree"]) -> None:
+        self.name = record.name
+        attributes = dict(record.attributes, span_id=record.span_id)
+        self.attributes = {key: attributes[key] for key in sorted(attributes)}
+        self.start = record.start
+        self.duration = record.duration
+        self.children = children
+
+    def walk(self):
+        """Depth-first iteration over the tree, self first."""
+        yield self
+        for child in self.children:
+            yield from child.walk()
+
+    def to_dict(self) -> dict:
+        return {
+            "name": self.name,
+            "attributes": dict(self.attributes),
+            "start": self.start,
+            "duration": self.duration,
+            "children": [child.to_dict() for child in self.children],
+        }
+
+    def to_json(self, indent: Optional[int] = 2) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
+
+    def render(self) -> str:
+        """An indented ASCII tree, one ``name  key=value ...`` line per span."""
+        lines: List[str] = []
+
+        def emit(span: SpanTree, depth: int) -> None:
+            attrs = "  ".join(f"{key}={value!r}" for key, value in span.attributes.items())
+            lines.append(f"{'  ' * depth}{span.name}  {attrs}".rstrip())
+            for child in span.children:
+                emit(child, depth + 1)
+
+        emit(self, 0)
+        return "\n".join(lines)
 
 
 class _Trace:
@@ -356,7 +405,7 @@ class TraceCollector:
     # tree assembly
     # ------------------------------------------------------------------ #
 
-    def assemble(self, trace_id: str) -> Span:
+    def assemble(self, trace_id: str) -> SpanTree:
         """Rebuild the span tree for *trace_id* from parent links.
 
         Well-formedness is enforced, not assumed: exactly one root,
@@ -391,21 +440,18 @@ class TraceCollector:
                 )
             children.setdefault(record.parent_id, []).append(record)
 
-        def build(record: SpanRecord) -> Span:
-            span = Span(record.name, **dict(record.attributes))
-            span.attributes["span_id"] = record.span_id
-            span.start = record.start
-            span.duration = record.end - record.start
-            for child in sorted(
-                children.get(record.span_id, []),
-                key=lambda r: (r.start, r.span_id),
-            ):
-                span.adopt(build(child))
-            return span
+        def build(record: SpanRecord) -> SpanTree:
+            return SpanTree(record, [
+                build(child)
+                for child in sorted(
+                    children.get(record.span_id, []),
+                    key=lambda r: (r.start, r.span_id),
+                )
+            ])
 
         return build(roots[0])
 
-    def assemble_all(self) -> List[Span]:
+    def assemble_all(self) -> List[SpanTree]:
         return [self.assemble(trace_id) for trace_id in self.trace_ids()]
 
     # ------------------------------------------------------------------ #

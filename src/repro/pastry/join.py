@@ -25,6 +25,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.obs.events import NodeJoined
+from repro.obs.trace_context import TraceContext
 from repro.pastry.node import PastryNode
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -42,17 +43,18 @@ def join_network(
     Returns the number of messages the join generated.  The new node must
     already be registered with the network (``add_node``) but have empty
     state; the contact must be a live node.  With ``trace=True`` (and an
-    observer installed) a ``join`` span -- with the join route's span tree
-    under it -- is recorded on the observer.
+    observer installed) the join opens a new trace in ``obs.traces``: a
+    ``join`` root span with the join route's span tree under it.
     """
     if not network.is_live(contact_id):
         raise ValueError("join contact is not alive")
     if contact_id == new_node.node_id:
         raise ValueError("a node cannot use itself as a join contact")
     obs = network.obs
-    span = None
+    ctx = None
     if trace and obs.enabled:
-        span = obs.span("join", node_id=new_node.node_id, contact_id=contact_id)
+        ctx = TraceContext.root(network.rngs.stream("join-trace-ids"))
+        start = obs.traces.tick()
     before = network.stats.counter("messages.join").value
 
     # X -> A: the initial contact message.
@@ -63,7 +65,8 @@ def join_network(
     # not live for routing purposes yet (its id is excluded as a hop
     # because it holds no state), so we route with A's view.
     result = network.route(
-        new_node.node_id, origin=contact_id, category="join", trace=span is not None
+        new_node.node_id, origin=contact_id, category="join",
+        trace=None if ctx is None else ctx.child("route"),
     )
     if not result.delivered:
         raise RuntimeError(f"join route failed: {result.reason}")
@@ -113,11 +116,12 @@ def join_network(
                 route_hops=result.hops,
             )
         )
-    if span is not None:
-        span.set(messages=messages, route_hops=result.hops)
-        if result.span is not None:
-            span.adopt(result.span)
-        obs.record_span(span)
+    if ctx is not None:
+        obs.traces.record(
+            ctx, "join", start=start, end=obs.traces.tick(),
+            node_id=f"{new_node.node_id:x}", contact_id=f"{contact_id:x}",
+            messages=messages, route_hops=result.hops,
+        )
     return messages
 
 

@@ -30,7 +30,7 @@ from repro.netsim.topology import EuclideanPlaneTopology, Topology
 from repro.obs.events import NodeFailed, NodeRecovered, OracleRebuilt, RouteCompleted
 from repro.obs.metrics import Counter, MetricsRegistry
 from repro.obs.recorder import NULL_OBSERVER
-from repro.obs.spans import Span
+from repro.obs.trace_context import TraceCollector, TraceContext
 from repro.pastry.node import PastryNode
 from repro.pastry.nodeid import IdSpace
 from repro.pastry.routing import RULE_DELIVER_SELF, RULE_EN_ROUTE, DeterministicRouting
@@ -63,6 +63,20 @@ def oracle_rows(space: IdSpace, count: int) -> int:
     )
 
 
+def _trace_hop(traces: TraceCollector, trace: TraceContext, path: List[int],
+               rule: str, next_node: Optional[int], delivered: bool = True) -> None:
+    """Record the decision at ``path[-1]`` as a ``hop`` span under the
+    route's *trace* context, with the live hop attributes: a forwarding
+    hop names its ``next_node``, a terminal one whether it ``delivered``."""
+    index = len(path) - 1
+    if next_node is None:
+        outcome = {"delivered": delivered}
+    else:
+        outcome = {"next_node": f"{next_node:x}"}
+    traces.record(trace.child("hop", index), "hop", node_id=f"{path[-1]:x}",
+                  rule=rule, hop_index=index, **outcome)
+
+
 @dataclass
 class RouteResult:
     """Outcome of routing one message."""
@@ -72,7 +86,6 @@ class RouteResult:
     delivered: bool
     reason: str = "delivered"
     value: object = None
-    span: Optional[Span] = None
 
     @property
     def hops(self) -> int:
@@ -269,14 +282,15 @@ class PastryNetwork:
         message: object = None,
         category: str = "route",
         max_hops: Optional[int] = None,
-        trace: bool = False,
+        trace: Optional[TraceContext] = None,
     ) -> RouteResult:
         """Walk a message from *origin* towards the live node whose id is
         numerically closest to *key*, one local decision per hop.
 
-        With ``trace=True`` (and an observer installed), the result
-        carries a span tree: one ``hop`` child per path element, each
-        annotated with the routing rule that fired at decision time.
+        With a *trace* context (and an observer installed), the route
+        records a ``route`` span at it in ``obs.traces``, with one
+        ``hop`` child per decision carrying the routing rule that fired
+        at decision time.
         """
         if policy is None:
             policy = DeterministicRouting()
@@ -285,92 +299,68 @@ class PastryNetwork:
         current = self.nodes[origin]
         if not current.alive:
             raise ValueError("route origin is not alive")
-        span: Optional[Span] = None
-        if trace and self.obs.enabled:
-            span = self.obs.span(
-                "route",
-                key=key,
-                origin=origin,
-                category=category,
-                policy=getattr(policy, "name", type(policy).__name__),
-            )
+        # None when untraced or when no observer is installed.
+        traces: Optional[TraceCollector] = None if trace is None else self.obs.traces
+        if traces is not None:
+            start = traces.tick()
         path = [origin]
         visited = {origin}
         while True:
             if current.malicious and current.node_id != origin:
                 # The node accepts the message and silently drops it.
                 self.count_message(category, node=current.node_id)
-                if span is not None:
-                    self._span_hop(span, current.node_id, key, "dropped (malicious)", None)
-                return self._finish_route(
-                    RouteResult(key=key, path=path, delivered=False, reason="dropped"),
-                    category,
-                    span,
-                )
+                if traces is not None:
+                    _trace_hop(traces, trace, path, "dropped (malicious)", None,
+                               delivered=False)
+                result = RouteResult(key=key, path=path, delivered=False, reason="dropped")
+                break
             # Application en-route check: a node holding the requested
             # file answers immediately (how lookups find a nearby replica
             # instead of always travelling to the root).
             value = current.forward(key, message)
             if value is not None:
-                if span is not None:
-                    self._span_hop(span, current.node_id, key, RULE_EN_ROUTE, None)
-                return self._finish_route(
-                    RouteResult(
-                        key=key, path=path, delivered=True, reason="en-route", value=value
-                    ),
-                    category,
-                    span,
+                if traces is not None:
+                    _trace_hop(traces, trace, path, RULE_EN_ROUTE, None)
+                result = RouteResult(
+                    key=key, path=path, delivered=True, reason="en-route", value=value
                 )
-            if span is not None:
+                break
+            if traces is not None:
                 hop, rule = current.next_hop_explained(key, policy, rng)
             else:
                 hop = current.next_hop(key, policy, rng)
-                rule = None
             if hop is None or hop in visited:
                 # hop in visited: the prefix heuristic and the numeric
                 # leaf fallback disagree (possible only after heavy
                 # correlated failures); the paper's algorithm delivers at
                 # the current node in this rare case rather than loop.
                 value = current.deliver(key, message)
-                if span is not None:
-                    self._span_hop(span, current.node_id, key, RULE_DELIVER_SELF, None)
-                return self._finish_route(
-                    RouteResult(key=key, path=path, delivered=True, value=value),
-                    category,
-                    span,
-                )
+                if traces is not None:
+                    _trace_hop(traces, trace, path, RULE_DELIVER_SELF, None)
+                result = RouteResult(key=key, path=path, delivered=True, value=value)
+                break
             self.count_message(category, node=current.node_id)
-            if span is not None:
-                self._span_hop(span, current.node_id, key, rule, hop)
+            if traces is not None:
+                _trace_hop(traces, trace, path, rule, hop)
             path.append(hop)
             visited.add(hop)
             if len(path) - 1 > max_hops:
-                return self._finish_route(
-                    RouteResult(key=key, path=path, delivered=False, reason="hop-limit"),
-                    category,
-                    span,
-                )
+                result = RouteResult(key=key, path=path, delivered=False, reason="hop-limit")
+                break
             current = self.nodes[hop]
+        self._finish_route(result, category)
+        if traces is not None:
+            traces.record(
+                trace, "route", start=start, end=traces.tick(),
+                key=f"{key:x}", origin=f"{origin:x}", category=category,
+                policy=getattr(policy, "name", type(policy).__name__),
+                hops=result.hops, delivered=result.delivered, reason=result.reason,
+            )
+        return result
 
-    def _span_hop(
-        self, span: Span, node_id: int, key: int, rule: str, next_node: Optional[int]
-    ) -> None:
-        """Attach one per-hop child span (traced routes only)."""
-        attributes = {
-            "node_id": node_id,
-            "shared_prefix": self.space.shared_prefix_length(node_id, key),
-            "distance": self.space.distance(node_id, key),
-            "rule": rule,
-        }
-        if next_node is not None:
-            attributes["next_node"] = next_node
-        span.child("hop", **attributes)
-
-    def _finish_route(
-        self, result: RouteResult, category: str, span: Optional[Span]
-    ) -> RouteResult:
+    def _finish_route(self, result: RouteResult, category: str) -> None:
         """Record metrics/events for a finished route (observer installed
-        only) and close out its span, if traced."""
+        only)."""
         obs = self.obs
         if obs.enabled:
             metrics = obs.metrics
@@ -406,10 +396,6 @@ class PastryNetwork:
                     category=category,
                 )
             )
-        if span is not None:
-            span.set(hops=result.hops, delivered=result.delivered, reason=result.reason)
-            result.span = span
-        return result
 
     # ------------------------------------------------------------------ #
     # bootstrap

@@ -19,7 +19,7 @@ import random
 from typing import TYPE_CHECKING, Optional
 
 from repro.pastry.nodeid import IdSpace
-from repro.pastry.routing import DeterministicRouting
+from repro.pastry.routing import RULE_DELIVER_SELF, DeterministicRouting
 from repro.pastry.state import NodeState
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -119,20 +119,12 @@ class PastryNode:
     ):
         """``(next_hop, rule)``: the decision of :meth:`next_hop` plus the
         routing rule that produced it (span tracing; same lazy repair of
-        dead entries).  Policies without ``next_hop_explained`` fall back
-        to the plain decision with an unlabelled rule."""
-        from repro.pastry.routing import RULE_DELIVER_SELF
-
+        dead entries)."""
         if policy is None:
             policy = DeterministicRouting()
-        explained = getattr(policy, "next_hop_explained", None)
         attempts = 0
         while True:
-            if explained is not None:
-                hop, rule = explained(self.state, key, rng)
-            else:
-                hop = policy.next_hop(self.state, key, rng)
-                rule = RULE_DELIVER_SELF if hop is None else "policy (unlabelled)"
+            hop, rule = policy.next_hop_explained(self.state, key, rng)
             if hop is None:
                 return None, rule
             if self.network.is_live(hop):

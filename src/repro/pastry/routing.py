@@ -27,8 +27,9 @@ from repro.pastry.state import NodeState
 
 # The routing-rule taxonomy.  Every hop decision is one of these; the
 # policies report the rule *at decision time* through
-# ``next_hop_explained`` (span tracing), and the after-the-fact route
-# explainer in :mod:`repro.obs.spans` re-derives the same labels.
+# ``next_hop_explained``, which a traced route records on each ``hop``
+# span (simulator and live alike).  tests/test_tracing.py holds each
+# policy's explained decision equal to its plain ``next_hop``.
 RULE_DELIVER_SELF = "deliver (numerically closest)"
 RULE_LEAF = "leaf set (numeric jump to closest member)"
 RULE_TABLE = "routing table (prefix +1 digit)"

@@ -72,12 +72,14 @@ class TestObservabilityCommands:
         assert main(["--seed", "3", "route", "--nodes", "60", "--json"]) == 0
         document = json.loads(capsys.readouterr().out)
         assert document["delivered"] is True
-        span = document["span"]
+        span = document["span"]  # the trace collector's assembled tree
         assert span["name"] == "route"
+        assert span["attributes"]["hops"] == document["hops"]
         hops = [child for child in span["children"] if child["name"] == "hop"]
         assert len(hops) == document["hops"] + 1
         assert all("rule" in h["attributes"] for h in hops)
         assert "next_node" not in hops[-1]["attributes"]  # terminal hop
+        assert hops[-1]["attributes"]["delivered"] is True
 
     def test_route_json_byte_identical(self, capsys):
         main(["--seed", "11", "route", "--nodes", "80", "--json"])

@@ -2,13 +2,14 @@
 
 Covers the metrics registry (labels, snapshots, Prometheus exposition,
 histogram percentile edge cases), the typed event bus and its JSONL
-schema validation, span trees, and the end-to-end instrumentation of the
+schema validation, assembled span trees, and the end-to-end instrumentation of the
 overlay and the storage layer -- including the invariant that a network
 without an observer behaves identically to one with.
 """
 
 import asyncio
 import json
+import random
 
 import pytest
 from hypothesis import given
@@ -30,7 +31,8 @@ from repro.obs import (
     OracleRebuilt,
     ReplicaDiverted,
     RouteCompleted,
-    Span,
+    TraceCollector,
+    TraceContext,
     validate_jsonl,
     validate_record,
 )
@@ -324,33 +326,50 @@ class TestEventBus:
 # ---------------------------------------------------------------------- #
 
 class TestSpan:
+    """The assembled tree view over a collector's flat span rows."""
+
+    @staticmethod
+    def trace():
+        return TraceCollector(), TraceContext.root(random.Random(1))
+
     def test_tree_structure_and_walk(self):
-        root = Span("route", key=1)
-        a = root.child("hop", node_id=1)
-        root.child("hop", node_id=2)
-        a.child("repair")
-        assert [s.name for s in root.walk()] == ["route", "hop", "repair", "hop"]
+        collector, root = self.trace()
+        collector.record(root, "route", start=0.0, end=9.0, key=1)
+        first = root.child("a")
+        collector.record(first, "hop", node_id=1)
+        collector.record(first.child("r"), "repair")
+        collector.record(root.child("b"), "hop", node_id=2)
+        tree = collector.assemble(root.trace_id)
+        assert [s.name for s in tree.walk()] == ["route", "hop", "repair", "hop"]
 
     def test_to_dict_sorted_and_deterministic(self):
-        root = Span("op", b=2, a=1)
-        root.child("hop", z=3, m=4)
-        document = root.to_dict()
-        assert list(document["attributes"]) == ["a", "b"]
-        assert list(document["children"][0]["attributes"]) == ["m", "z"]
-        assert root.to_json() == root.to_json()
+        collector, root = self.trace()
+        collector.record(root, "op", start=0.0, end=5.0, b=2, a=1)
+        collector.record(root.child(0), "hop", z=3, m=4)
+        document = collector.assemble(root.trace_id).to_dict()
+        assert list(document["attributes"]) == ["a", "b", "span_id"]
+        assert list(document["children"][0]["attributes"]) == ["m", "span_id", "z"]
+        assert collector.assemble(root.trace_id).to_json() == \
+            collector.assemble(root.trace_id).to_json()
 
     def test_set_merges_outcome(self):
-        span = Span("route")
-        span.set(hops=4, delivered=True)
-        assert span.attributes["hops"] == 4
+        """An operation records its root span when it ends, outcome and
+        all, after its children; the tree still roots there."""
+        collector, root = self.trace()
+        collector.record(root.child(0), "hop")
+        collector.record(root, "route", start=0.0, end=collector.tick(),
+                         hops=4, delivered=True)
+        tree = collector.assemble(root.trace_id)
+        assert tree.attributes["hops"] == 4
+        assert [child.name for child in tree.children] == ["hop"]
 
     def test_render_ascii(self):
-        root = Span("route", key=1)
-        root.child("hop", node_id=7)
-        text = root.render(format_value=str)
-        lines = text.splitlines()
-        assert lines[0].startswith("route")
-        assert lines[1].startswith("  hop")
+        collector, root = self.trace()
+        collector.record(root, "route", start=0.0, end=5.0, key=1)
+        collector.record(root.child(0), "hop", node_id=7)
+        lines = collector.assemble(root.trace_id).render().splitlines()
+        assert lines[0].startswith("route  key=1")
+        assert lines[1].startswith("  hop  node_id=7")
 
 
 # ---------------------------------------------------------------------- #
@@ -361,7 +380,7 @@ class TestObserver:
     def test_null_observer_is_falsy_and_inert(self):
         assert not NULL_OBSERVER
         assert NULL_OBSERVER.enabled is False
-        assert NULL_OBSERVER.span("route") is None
+        assert NULL_OBSERVER.traces is None
         NULL_OBSERVER.emit(NodeFailed(node_id=1))  # must not raise
         assert NULL_OBSERVER.snapshot() == {
             "counters": {}, "gauges": {}, "histograms": {},
@@ -372,9 +391,9 @@ class TestObserver:
         assert observer and observer.enabled
         observer.emit(NodeFailed(node_id=3))
         assert observer.bus.kinds() == ["node-failed"]
-        span = observer.span("route")
-        observer.record_span(span)
-        assert observer.spans == [span]
+        ctx = TraceContext.root(random.Random(0))
+        observer.traces.record(ctx, "route")
+        assert observer.traces.trace_ids() == [ctx.trace_id]
 
 
 # ---------------------------------------------------------------------- #
@@ -411,10 +430,11 @@ class TestOverlayInstrumentation:
         rng = network.rngs.stream("obs-span")
         key = network.space.random_id(rng)
         origin = rng.choice(network.live_ids())
-        result = network.route(key, origin, trace=True)
-        span = result.span
-        assert span is not None and span.name == "route"
-        hop_ids = [child.attributes["node_id"] for child in span.children]
+        ctx = TraceContext.root(rng)
+        result = network.route(key, origin, trace=ctx)
+        span = observer.traces.assemble(ctx.trace_id)
+        assert span.name == "route"
+        hop_ids = [int(child.attributes["node_id"], 16) for child in span.children]
         assert hop_ids == result.path
         assert span.children[-1].attributes["rule"] == RULE_DELIVER_SELF
         assert span.attributes["delivered"] is True
@@ -454,10 +474,10 @@ class TestOverlayInstrumentation:
         newcomer = network.add_node()
         contact = network._nearest_live_contact(newcomer)
         join_network(network, newcomer, contact, trace=True)
-        assert len(observer.spans) == 1
-        span = observer.spans[0]
+        (trace_id,) = observer.traces.trace_ids()
+        span = observer.traces.assemble(trace_id)
         assert span.name == "join"
-        assert span.attributes["node_id"] == newcomer.node_id
+        assert span.attributes["node_id"] == f"{newcomer.node_id:x}"
         assert [c.name for c in span.children] == ["route"]
         assert span.children[0].children, "route span has no hop children"
 
