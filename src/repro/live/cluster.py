@@ -38,6 +38,9 @@ from repro.sim.rng import RngRegistry, stable_seed
 
 ROUTE_TIMEOUT = 10.0  # seconds of real time; generous for CI machines
 
+#: What an attempt's reply future holds when its timer expired first.
+_NO_REPLY = object()
+
 #: HELP texts for the live metric families ``metrics_text()`` exposes.
 #: Every family a live deployment serves must be announced (strict
 #: scrapers reject families without HELP/TYPE; see obs/validate.py).
@@ -53,7 +56,7 @@ LIVE_METRIC_HELP = {
     "storage.used_bytes": "Bytes stored across live replicas.",
     "wire.resynced_bytes": "Garbage bytes skipped resynchronizing frame streams.",
     "wire.send_queue_depth": "Frames queued on outbound links awaiting writers.",
-    "wire.in_flight": "Frames accepted toward the wire but not yet delivered.",
+    "wire.in_flight": "Messages accepted by the transport but not yet handled.",
     "wire.mailbox_backlog": "Undelivered messages across all mailboxes.",
     "load.ops": "Load-harness operations, by op and outcome.",
     "load.latency_seconds": "Load-harness operation latency, by op.",
@@ -90,9 +93,9 @@ class LiveNode:
     # lifecycle
     # ------------------------------------------------------------------ #
 
-    def start(self) -> None:
+    def start(self, mailbox: asyncio.Queue) -> None:
         self._running = True
-        self._task = asyncio.create_task(self._run(), name=f"node-{self.node_id:x}")
+        self._task = asyncio.create_task(self._run(mailbox), name=f"node-{self.node_id:x}")
 
     async def stop(self) -> None:
         if self._task is None:
@@ -106,14 +109,20 @@ class LiveNode:
         except asyncio.CancelledError:
             pass  # the task was cancelled by kill(); that is its end state
 
-    async def _run(self) -> None:
+    async def _run(self, mailbox: asyncio.Queue) -> None:
+        """Handle this node's messages in order.  Each settles when its
+        handler returns, raises or is cancelled by ``kill``: after any
+        message the handler sent was counted."""
         transport = self.cluster.transport
         handlers = self._handlers
         while self._running:
-            message = await transport.receive(self.node_id)
+            message = await mailbox.get()
             if message is None:
                 break
-            await getattr(self, handlers.get(message.kind, "_unserved"))(message)
+            try:
+                await getattr(self, handlers.get(message.kind, "_unserved"))(message)
+            finally:
+                transport.settle(self.node_id)
 
     # ------------------------------------------------------------------ #
     # helpers
@@ -521,12 +530,12 @@ class LiveCluster:
             while node_id in self.nodes:
                 node_id = self.space.random_id(rng)
         self.topology.add_endpoint(node_id)
-        self.transport.register(node_id)
+        mailbox = self.transport.register(node_id)
         node = self._make_node(node_id)
         self.nodes[node_id] = node
         if self.obs.enabled:
             self.obs.metrics.gauge("live.nodes").increment()
-        node.start()
+        node.start(mailbox)
         return node
 
     def _make_node(self, node_id: int) -> LiveNode:
@@ -588,21 +597,11 @@ class LiveCluster:
                     )
             await self._quiesce()
 
-    async def _quiesce(self, settle_checks: int = 3) -> None:
-        """Wait until the transport has been idle for a few checks.
-
-        ``idle()`` covers mailboxes *and* whatever in-flight state the
-        transport tracks (socket send queues, un-delivered frames), so
-        the settle loop does not declare quiet while bytes are still on
-        the wire.
-        """
-        clear = 0
-        while clear < settle_checks:
-            await asyncio.sleep(0.005)
-            if self.transport.idle():
-                clear += 1
-            else:
-                clear = 0
+    async def _quiesce(self) -> None:
+        """Wait until every message the transport accepted has settled:
+        none is left in a delay, a socket buffer, a mailbox or a
+        handler, so none can appear (:meth:`TransportBase.idle`)."""
+        await self.transport.settled.wait()
 
     async def shutdown(self) -> None:
         await asyncio.gather(*(node.stop() for node in self.nodes.values()))
@@ -610,7 +609,8 @@ class LiveCluster:
 
     def kill(self, node_id: int) -> None:
         """Silent failure: the node stops responding; peers discover it
-        through failed sends."""
+        through failed sends.  Its mailbox backlog is dropped and
+        everything bound for it settles (``TransportBase.mark_dead``)."""
         self.transport.mark_dead(node_id)
         node = self.nodes[node_id]
         node._running = False
@@ -645,9 +645,17 @@ class LiveCluster:
 
     def _resolve(self, request_id: int, result) -> None:
         """Complete request *request_id* with the reply a node received."""
-        future = self._reply_futures.pop(request_id, None)
+        future = self._reply_futures.get(request_id)
         if future is not None and not future.done():
             future.set_result(result)
+
+    def _expire(self, request_id: int, future: asyncio.Future) -> None:
+        """An attempt's timer: wake the attempt waiting on *future* with
+        no reply, and leave a fresh future in the request's slot, so a
+        late reply to this attempt still completes the request."""
+        if not future.done():
+            self._reply_futures[request_id] = future.get_loop().create_future()
+            future.set_result(_NO_REPLY)
 
     async def route(self, key: int, origin: int,
                     timeout: float = ROUTE_TIMEOUT) -> List[int]:
@@ -677,9 +685,11 @@ class LiveCluster:
 
         The driver owns the rest.  One ``request_id`` spans all attempts,
         so a root recognises a retry (resumes a pending fan-out, replays
-        a completed result) instead of running the operation twice; one
-        reply future outlives each attempt (hence the ``shield``): the
-        reply to an earlier attempt completes the request just as well.
+        a completed result) instead of running the operation twice; its
+        reply slot outlives each attempt: an attempt awaits the slot's
+        future under one timer, which on expiry wakes it with no reply
+        and leaves a fresh future behind (:meth:`_expire`), so the reply
+        to an earlier attempt completes the request just as well.
         Each attempt gets a fresh payload (empty trail; after the first,
         a ``randomized_seed`` fixed per (request, attempt)), an
         :class:`AttemptLog` record and an equal share of *timeout*, with
@@ -693,8 +703,8 @@ class LiveCluster:
         finds nothing to trip over.
         """
         request_id = next(self._request_ids)
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
-        self._reply_futures[request_id] = future
+        loop = asyncio.get_running_loop()
+        self._reply_futures[request_id] = loop.create_future()
         policy = self.retry
         attempt_timeout = timeout / policy.attempts
         obs = self.obs
@@ -733,13 +743,13 @@ class LiveCluster:
                     origin, Message(kind="route", sender=origin, payload=payload,
                                     traceparent=attempt_ctx)
                 )
+                future = self._reply_futures[request_id]
+                timer = loop.call_later(attempt_timeout, self._expire, request_id, future)
                 try:
-                    result = await asyncio.wait_for(
-                        asyncio.shield(future), attempt_timeout
-                    )
-                    delivered = True
-                except asyncio.TimeoutError:
-                    delivered = False
+                    result = await future
+                finally:
+                    timer.cancel()
+                delivered = result is not _NO_REPLY
                 if tracing:
                     obs.traces.record(
                         attempt_ctx, "attempt",

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import asyncio
 import functools
-from typing import Awaitable, Optional, Set
+from typing import Awaitable, Callable, Dict, Optional, Set
 
 from repro.live.net.codec import CodecError, decode_message, encode_message
 from repro.live.net.framing import DEFAULT_MAX_FRAME, encode_frame
@@ -78,11 +78,9 @@ class SocketTransport(TransportBase):
         self._fault_delay_scale = fault_delay_scale
         self._pool = NodePool(max_frame=max_frame,
                               send_queue_size=send_queue_size)
-        # Frames accepted toward the wire but not yet in a mailbox (or
-        # discarded): send queues, TCP buffers, decoder buffers.  idle()
-        # must see these -- an empty-mailboxes check alone would let the
-        # quiesce loop declare silence while bytes are still in flight.
-        self._in_flight = 0
+        # address -> the discard callback of the link to it, which
+        # settles a frame the link gives up on.
+        self._discards: Dict[int, Callable[[bytes], None]] = {}
         self._retirements: Set[asyncio.Task] = set()
         self.bytes_sent = 0
         self.frames_delivered = 0
@@ -99,6 +97,7 @@ class SocketTransport(TransportBase):
     def register(self, address: int) -> asyncio.Queue:
         queue = super().register(address)
         self._pool.spawn(address, functools.partial(self._deliver, address))
+        self._discards[address] = functools.partial(self._discard, address)
         return queue
 
     def mark_dead(self, address: int) -> None:
@@ -132,12 +131,12 @@ class SocketTransport(TransportBase):
             message = None
         if message is None or not well_formed(message, self._mailboxes):
             self.frames_discarded += 1
-            self._landed()
+            self.settle(address)
             return None
         if address in self._dead or address not in self._mailboxes:
-            # Raced a kill: the bytes arrived but nobody is home.
+            # Raced a kill, which already settled the frame: the bytes
+            # arrived but nobody is home.
             self.messages_dropped += 1
-            self._landed()
             return None
         mailbox = self._mailboxes[address]
         try:
@@ -145,27 +144,17 @@ class SocketTransport(TransportBase):
         except asyncio.QueueFull:
             return self._deliver_later(mailbox, message)
         self.frames_delivered += 1
-        self._landed()
         return None
 
     async def _deliver_later(self, mailbox: asyncio.Queue,
                              message: Message) -> None:
         await mailbox.put(message)
         self.frames_delivered += 1
-        self._landed()
 
-    def _landed(self) -> None:
-        """One frame left the wire.  Listeners accept any TCP client, so
-        the frame may be one this transport never enqueued: the count
-        stops at zero, or a single foreign frame would leave ``idle()``
-        false for good."""
-        if self._in_flight > 0:
-            self._in_flight -= 1
-
-    def _discard(self, frame: bytes) -> None:
+    def _discard(self, destination: int, frame: bytes) -> None:
         """A link gave up on a frame (dead endpoint, broken wire)."""
         self.frames_discarded += 1
-        self._landed()
+        self.settle(destination)
 
     # ------------------------------------------------------------------ #
     # send side
@@ -183,18 +172,17 @@ class SocketTransport(TransportBase):
             if not await self._in_flight_delay(
                     destination, fault.delay * self._fault_delay_scale):
                 return RESULT_DEAD
-        link = self._pool.link_to(destination, self._discard)
+        link = self._pool.link_to(destination, self._discards[destination])
         if fault is not None and fault.defer > 0:
             # Reorder: hand the frame to the link later, without blocking
             # this sender, so later sends genuinely overtake it.
             self.faults_reordered += 1
-            self._in_flight += 1
             asyncio.get_running_loop().call_later(
                 fault.defer * self._fault_delay_scale,
-                self._enqueue_deferred, link, frame,
+                self._enqueue_deferred, destination, link, frame,
             )
         else:
-            if not await self._enqueue(link, frame):
+            if not await self._enqueue(destination, link, frame):
                 self.sends_timed_out += 1
                 return RESULT_TIMEOUT
         self.messages_sent += 1
@@ -202,14 +190,15 @@ class SocketTransport(TransportBase):
         if fault is not None and fault.duplicate:
             self.faults_duplicated += 1
             self._charge(message, len(frame))  # a second full frame
-            if await self._enqueue(link, frame):
+            self._accept(destination)
+            if await self._enqueue(destination, link, frame):
                 self.bytes_sent += len(frame)
         return RESULT_DELIVERED
 
-    async def _enqueue(self, link, frame: bytes) -> bool:
+    async def _enqueue(self, destination: int, link, frame: bytes) -> bool:
         """Hand *frame* to a link: written at once if the link is idle,
-        else queued within the send timeout."""
-        self._in_flight += 1
+        else queued within the send timeout.  A frame that times out, or
+        whose sender is cancelled while it waits, settles here."""
         if link.try_write(frame):
             return True
         try:
@@ -221,18 +210,21 @@ class SocketTransport(TransportBase):
                 await asyncio.wait_for(link.queue.put(frame),
                                        self._send_timeout)
             except asyncio.TimeoutError:
-                self._in_flight -= 1
+                self.settle(destination)
                 return False
+            except asyncio.CancelledError:
+                self.settle(destination)
+                raise
         return True
 
-    def _enqueue_deferred(self, link, frame: bytes) -> None:
+    def _enqueue_deferred(self, destination: int, link, frame: bytes) -> None:
         """call_later callback for reordered frames (sync context)."""
         if link.try_write(frame):
             return
         try:
             link.queue.put_nowait(frame)
         except asyncio.QueueFull:
-            self._discard(frame)
+            self._discard(destination, frame)
 
     # ------------------------------------------------------------------ #
     # wire observability
@@ -248,7 +240,6 @@ class SocketTransport(TransportBase):
             poisoned_connections=self._pool.poisoned_total(),
             resynced_bytes=self._pool.resynced_total(),
             send_queue_depth=self._pool.send_queue_depth(),
-            in_flight=self._in_flight,
             sends_timed_out=self.sends_timed_out,
             # Socket-only extras (absent from the gauge families, so the
             # cross-transport parity contract is unaffected).
@@ -262,9 +253,6 @@ class SocketTransport(TransportBase):
     # lifecycle
     # ------------------------------------------------------------------ #
 
-    def idle(self) -> bool:
-        return self._in_flight == 0 and super().idle()
-
     async def aclose(self) -> None:
         for task in list(self._retirements):
             try:
@@ -272,3 +260,4 @@ class SocketTransport(TransportBase):
             except asyncio.CancelledError:
                 pass
         await self._pool.aclose()
+        await super().aclose()

@@ -410,9 +410,9 @@ class TransportBase:
     Subclasses implement :meth:`send` as sizing, the shared front half
     (:meth:`_admit`) and their own hand-off; everything else --
     registration bookkeeping, the dead set, fault tracing, counters, the
-    mailbox receive side -- is common.  Both shipped transports deliver
-    into per-address ``asyncio.Queue`` mailboxes, so ``receive`` lives
-    here.
+    settle count (:meth:`idle`), the mailbox receive side -- is common.
+    Both shipped transports deliver into per-address ``asyncio.Queue``
+    mailboxes, so ``receive`` lives here.
     """
 
     def __init__(self, faults=None) -> None:
@@ -428,6 +428,12 @@ class TransportBase:
         # -- including the extra wire copy of an injected duplicate.
         self.ledger = None
         self._sequence = itertools.count(1)
+        # The settle count: messages ``send`` accepted and nobody has
+        # finished yet, kept per destination (nonzero entries only), and
+        # the event that is set exactly while the count is zero.
+        self._unsettled: Dict[int, int] = {}
+        self.settled = asyncio.Event()
+        self.settled.set()
         self.messages_sent = 0
         self.messages_dropped = 0
         self.faults_dropped = 0
@@ -452,8 +458,19 @@ class TransportBase:
         return asyncio.Queue()
 
     def mark_dead(self, address: int) -> None:
-        """Future sends to *address* fail (the node stops responding)."""
+        """Future sends to *address* fail (the node stops responding).
+
+        Everything bound for *address* settles now: its mailbox backlog
+        is drained into ``messages_dropped``, and a message still on its
+        way (sleeping a delay, in a socket buffer) is dropped where it
+        lands without settling a second time."""
         self._dead.add(address)
+        queue = self._mailboxes.get(address)
+        while queue is not None and not queue.empty():
+            if queue.get_nowait() is not None:
+                self.messages_dropped += 1
+        if self._unsettled.pop(address, 0) and not self._unsettled:
+            self.settled.set()
 
     def mark_alive(self, address: int) -> None:
         self._dead.discard(address)
@@ -469,14 +486,24 @@ class TransportBase:
         raise NotImplementedError
 
     async def receive(self, address: int, timeout: Optional[float] = None) -> Optional[Message]:
-        """Next message for *address*, or None on timeout."""
+        """Next message for *address*, or None on timeout.
+
+        The message is finished once it is taken, so it settles here; a
+        node's loop instead gets from its mailbox and settles when the
+        handler returns.  A *timeout* costs one timer, and only when
+        the mailbox is empty."""
         queue = self._mailboxes[address]
-        if timeout is None:
-            return await queue.get()
-        try:
-            return await asyncio.wait_for(queue.get(), timeout)
-        except asyncio.TimeoutError:
-            return None
+        if timeout is None or not queue.empty():
+            message = await queue.get()
+        else:
+            try:
+                async with asyncio.timeout(timeout):
+                    message = await queue.get()
+            except TimeoutError:
+                return None
+        if message is not None:
+            self.settle(address)
+        return message
 
     def close_mailbox(self, address: int) -> None:
         """Wake *address*'s receive loop with the ``None`` sentinel.
@@ -491,18 +518,42 @@ class TransportBase:
             pass
 
     def idle(self) -> bool:
-        """No undelivered traffic anywhere the transport can see.
+        """Every message ``send`` accepted is finished: handled, taken
+        by ``receive``, or dropped on the way.  A message sleeping a
+        delay, resting in a socket buffer or waiting in a mailbox keeps
+        the transport busy; :attr:`settled` is set exactly while this
+        holds, and the cluster's quiesce awaits it."""
+        return not self._unsettled
 
-        The cluster's quiesce loop polls this between settle checks;
-        transports with genuinely in-flight bytes (socket buffers, send
-        queues) extend it so "every mailbox is empty" is not mistaken
-        for "the wire is silent".
-        """
-        return all(queue.empty() for queue in self._mailboxes.values())
+    def settle(self, address: int) -> None:
+        """One message bound for *address* is finished.
+
+        The count stops at zero: listeners accept any TCP client, so a
+        message may be one this transport never accepted, and settling
+        it must not leave the count unbalanced for good (at worst the
+        count reaches zero one message early)."""
+        unsettled = self._unsettled
+        left = unsettled.get(address, 0) - 1
+        if left > 0:
+            unsettled[address] = left
+        elif left == 0:
+            del unsettled[address]
+            if not unsettled:
+                self.settled.set()
+
+    def _accept(self, destination: int) -> None:
+        """``send`` took one message for *destination*: the transport is
+        busy until it settles."""
+        unsettled = self._unsettled
+        if not unsettled:
+            self.settled.clear()
+        unsettled[destination] = unsettled.get(destination, 0) + 1
 
     async def aclose(self) -> None:
-        """Release transport resources (servers, connections).  The
-        in-process baseline holds none; the socket transport overrides."""
+        """Release transport resources (servers, connections) and wake
+        anyone awaiting :attr:`settled`: nothing settles after close.
+        The in-process baseline holds no resources."""
+        self.settled.set()
 
     # ------------------------------------------------------------------ #
     # wire observability
@@ -539,7 +590,7 @@ class TransportBase:
             "poisoned_connections": 0,
             "resynced_bytes": 0,
             "send_queue_depth": 0,
-            "in_flight": 0,
+            "in_flight": sum(self._unsettled.values()),
             "sends_timed_out": 0,
             "messages_sent": self.messages_sent,
             "messages_dropped": self.messages_dropped,
@@ -579,7 +630,8 @@ class TransportBase:
         and before any enqueue, so a seeded plan draws the identical
         fault sequence over every transport by construction.  Returns
         ``(refusal, fault)``: a non-None *refusal* is ``send``'s result
-        (dead, unknown, or an injected drop); otherwise *fault* is the
+        (dead, unknown, or an injected drop); otherwise the message is
+        accepted into the settle count and *fault* is the
         duplicate/delay/defer the hand-off must honour, or None.
         """
         self._charge(message, size)
@@ -589,27 +641,33 @@ class TransportBase:
         if destination not in self._mailboxes:
             self.messages_dropped += 1
             return RESULT_UNKNOWN, None
-        if self.faults is None:
-            return None, None
-        fault = self.faults.message_fault(message.sender, destination)
-        if fault is None:
-            return None, None
-        if fault.drop:
-            self.faults_dropped += 1
-            self._trace_fault(message, destination, "drop")
-            return RESULT_DROPPED, None
-        if fault.duplicate:
-            self._trace_fault(message, destination, "duplicate")
-        if fault.delay > 0:
-            self._trace_fault(message, destination, "delay", amount=fault.delay)
-        if fault.defer > 0:
-            self._trace_fault(message, destination, "reorder", amount=fault.defer)
+        fault = None
+        if self.faults is not None:
+            fault = self.faults.message_fault(message.sender, destination)
+        if fault is not None:
+            if fault.drop:
+                self.faults_dropped += 1
+                self._trace_fault(message, destination, "drop")
+                return RESULT_DROPPED, None
+            if fault.duplicate:
+                self._trace_fault(message, destination, "duplicate")
+            if fault.delay > 0:
+                self._trace_fault(message, destination, "delay", amount=fault.delay)
+            if fault.defer > 0:
+                self._trace_fault(message, destination, "reorder", amount=fault.defer)
+        self._accept(destination)
         return None, fault
 
     async def _in_flight_delay(self, destination: int, seconds: float) -> bool:
         """Sleep *seconds*, then re-check the dead set: the destination
-        may have died mid-flight.  True when the send may go on."""
-        await asyncio.sleep(seconds)
+        may have died mid-flight.  True when the send may go on.  A
+        sender cancelled mid-sleep (its node was killed) settles the
+        message it never delivers."""
+        try:
+            await asyncio.sleep(seconds)
+        except asyncio.CancelledError:
+            self.settle(destination)
+            raise
         if destination in self._dead:
             self.messages_dropped += 1
             return False
@@ -702,5 +760,6 @@ class InProcessTransport(TransportBase):
         if fault is not None and fault.duplicate:
             self.faults_duplicated += 1
             self._charge(message, size)  # a second copy on the wire
+            self._accept(destination)
             queue.put_nowait(message)
         return RESULT_DELIVERED

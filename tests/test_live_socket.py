@@ -13,6 +13,7 @@ marker (auto-skipped where binding is unavailable; CI runs
 """
 
 import asyncio
+import contextlib
 import random
 import socket
 import struct
@@ -24,7 +25,7 @@ from repro.core.files import RealData, SyntheticData
 from repro.core.smartcard import make_uncertified_card
 from repro.faults.plan import FaultPlan
 from repro.faults.policy import RetryPolicy
-from repro.live import LiveCluster, Message
+from repro.live import InProcessTransport, LiveCluster, Message
 from repro.live.net import CodecError, SocketTransport, encode_message
 from repro.live.net.codec import SHAPES, WIRE_VERSION
 from repro.live.net.framing import encode_frame
@@ -469,6 +470,102 @@ class TestSocketDataPlane:
             "paused": True, "order": list(range(1, 41)), "delivered": 41,
             "late": None, "idle": True, "reading": True,
         }
+
+
+@contextlib.contextmanager
+def counting_loop(loop):
+    """Count the loop's ``call_soon`` wake-ups, ``call_at`` timers
+    (``call_later`` goes through it) and ``_run_once`` iterations."""
+    counts = {"call_soon": 0, "call_at": 0, "iterations": 0}
+    call_soon, call_at, run_once = loop.call_soon, loop.call_at, loop._run_once
+
+    def counting_call_soon(*args, **kwargs):
+        counts["call_soon"] += 1
+        return call_soon(*args, **kwargs)
+
+    def counting_call_at(*args, **kwargs):
+        counts["call_at"] += 1
+        return call_at(*args, **kwargs)
+
+    def counting_run_once():
+        counts["iterations"] += 1
+        run_once()
+
+    loop.call_soon, loop.call_at = counting_call_soon, counting_call_at
+    loop._run_once = counting_run_once
+    try:
+        yield counts
+    finally:
+        del loop.call_soon, loop.call_at, loop._run_once
+
+
+class TestLoopCostPerRequest:
+    """A request waits for its reply under one timer, and wakes once."""
+
+    @pytest.mark.parametrize("transport, iterations",
+                             [(InProcessTransport, 4), (SocketTransport, 7)],
+                             ids=["inproc", "socket"])
+    def test_one_timer_and_one_wakeup_per_attempt(self, transport, iterations):
+        """A one-hop route is three messages (client to origin, origin
+        to root, the result back), each waking its node once; the reply
+        future wakes the client.  The attempt's one timer is all the
+        waiting costs: ``wait_for(shield(future))`` added three
+        wake-ups (the shield's two done-callbacks and ``wait_for``'s
+        waiter release).  Over sockets each message also takes the
+        iteration its frame is read in."""
+
+        async def scenario():
+            cluster = LiveCluster(seed=3, transport=transport())
+            await cluster.start(8)
+            ids = cluster.live_ids()
+            pairs = [(ids[i % 8], ids[(i + 3) % 8]) for i in range(100)]
+            for origin, key in pairs[:16]:  # connect every link used
+                assert await cluster.route(key, origin) == [origin, key]
+            with counting_loop(asyncio.get_running_loop()) as counts:
+                for origin, key in pairs:
+                    await cluster.route(key, origin)
+            await cluster.shutdown()
+            return counts
+
+        assert run(scenario()) == {
+            "call_soon": 400, "call_at": 100, "iterations": 100 * iterations,
+        }
+
+    @pytest.mark.parametrize("transport", [InProcessTransport, SocketTransport],
+                             ids=["inproc", "socket"])
+    def test_receive_with_a_timeout_costs_one_timer_and_no_task(self, transport):
+        """Two receivers answer each other 100 times, each waiting under
+        a timeout: a message wakes its receiver once, under one timer.
+        ``wait_for`` ran the get as a Task and released a waiter, four
+        wake-ups a message."""
+
+        async def scenario():
+            endpoints = transport()
+            endpoints.register(1)
+            endpoints.register(2)
+
+            async def echo():
+                for _ in range(101):
+                    message = await endpoints.receive(2, timeout=5.0)
+                    await endpoints.send(1, message)
+
+            echoing = asyncio.ensure_future(echo())
+            await endpoints.send(2, ack(0))  # connects both links
+            await endpoints.receive(1, timeout=5.0)
+            with counting_loop(asyncio.get_running_loop()) as counts:
+                for number in range(1, 101):
+                    await endpoints.send(2, ack(number))
+                    reply = await endpoints.receive(1, timeout=5.0)
+                    assert reply.payload["request_id"] == number
+            await echoing
+            idle = endpoints.idle()
+            await endpoints.aclose()
+            return counts, idle
+
+        # 199 timers: the echo's wait for message 1 began before counting.
+        iterations = 200 if transport is InProcessTransport else 400
+        assert run(scenario()) == ({"call_soon": 200, "call_at": 199,
+                                    "iterations": iterations}, True)
 
 
 async def _foreign_frame_cluster(payload):
