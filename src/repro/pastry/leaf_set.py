@@ -203,10 +203,6 @@ class LeafSet:
     def __len__(self) -> int:
         return len(self.members())
 
-    def is_side_full(self, larger: bool) -> bool:
-        side = self._larger if larger else self._smaller
-        return len(side) >= self.half
-
     # ------------------------------------------------------------------ #
     # routing queries
     # ------------------------------------------------------------------ #

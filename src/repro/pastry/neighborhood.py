@@ -94,6 +94,50 @@ class NeighborhoodSet:
         self._present = set(self._members)
         self._invalidate()
 
+    def replace(self, left: List[int], entered: List[tuple]) -> bool:
+        """Follow a change of the pool M was ranked from (``bulk_load``):
+        ids *left* it, ``(distance, id)`` pairs *entered* it.
+
+        Pool ids outside a full M all rank after its last member, so the
+        new M follows from the old one whenever every member that left is
+        matched by an entrant ranked ahead of that last member.  Then
+        the change is applied, entrants ranked by ``(distance, id)`` as
+        ``bulk_load`` ranks them, and True returned; otherwise M is left
+        as it was and False returned, for the caller to re-rank the pool.
+        """
+        members = self._members
+        distances = self._distances
+        present = self._present
+        capacity = self.capacity
+        gone = [node_id for node_id in left if node_id in present]
+        if gone and len(members) >= capacity:
+            last = (distances[-1], members[-1])
+            if sum(1 for pair in entered if pair < last) < len(gone):
+                return False
+        changed = bool(gone)
+        for node_id in gone:
+            index = members.index(node_id)
+            del members[index]
+            del distances[index]
+            present.discard(node_id)
+        for distance, node_id in entered:
+            index = bisect.bisect_left(distances, distance)
+            while (index < len(members) and distances[index] == distance
+                   and members[index] < node_id):
+                index += 1
+            if index >= capacity:
+                continue
+            members.insert(index, node_id)
+            distances.insert(index, distance)
+            present.add(node_id)
+            if len(members) > capacity:
+                present.discard(members.pop())
+                distances.pop()
+            changed = True
+        if changed:
+            self._invalidate()
+        return True
+
     def remove(self, node_id: int) -> bool:
         """Drop a (failed) node; True if it was present."""
         if node_id in self._present:

@@ -23,7 +23,15 @@ Per membership change the maintainer touches only:
 * owners of the routing-table cells the changed node occupies or ought
   to occupy -- one cell per populated row, found by slicing the ring;
 * the neighborhood sets of exactly the nodes whose leaf set or table
-  changed (reseeded from leaf + table, the oracle's M-invariant).
+  changed, each moved by its pool delta (``NeighborhoodSet.replace``):
+  M is the best-|M| of leaf members and table entries by
+  ``(distance, id)``, so an id new to that pool is ranked in, an id
+  gone from it and outside M changes nothing, and a member gone from
+  it is replaced by an entrant ranked ahead of M's last member.  A
+  node left without such an entrant, the joiner itself and the nodes
+  whose rows grow or shrink at an ``oracle_rows`` threshold are
+  reseeded from leaf + table (the oracle's M-invariant), as the
+  rebuild does.
 
 Equivalence contract (asserted by ``tests/test_oracle_incremental.py``):
 with ``table_quality="perfect"`` -- whose per-cell choice is the
@@ -35,13 +43,14 @@ stream the rebuild would consume differently, so for them the
 maintainer guarantees *structural validity* instead: every entry live,
 every entry in its correct slot, a cell vacant only when its candidate
 group is empty, and leaf sets still byte-identical (leaf construction
-never consults the RNG).
+never consults the RNG).  At every quality, each node's neighborhood
+set stays exactly the reseed of its own leaf set and table.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Iterator, List, Optional, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from repro.pastry.network import (
     TABLE_QUALITY_PERFECT,
@@ -76,11 +85,11 @@ class IncrementalOracle:
     def on_join(self, joiner: int) -> None:
         """A node was added to the live ring (state empty or stale)."""
         net = self.network
+        nodes = net.nodes
         ids = net._live_sorted
         count = len(ids)
         space = self.space
-        half = net.leaf_capacity // 2
-        changed: Set[int] = set()
+        reseed: Set[int] = set()
 
         # Crossing a row-count threshold grows every pre-existing node's
         # table by the new rows (rare: happens when N passes a power of
@@ -91,42 +100,66 @@ class IncrementalOracle:
             for node_id in ids:
                 if node_id == joiner:
                     continue
-                node = net.nodes[node_id]
+                node = nodes[node_id]
                 for row in range(old_rows, max_rows):
                     if self._fill_row(node, row):
-                        changed.add(node_id)
+                        reseed.add(node_id)
 
         # The joiner's own state, built exactly as the rebuild would.
         j_index = bisect_left(ids, joiner)
-        self._rebuild_own_state(net.nodes[joiner], j_index, max_rows)
-        changed.add(joiner)
+        self._rebuild_own_state(nodes[joiner], j_index, max_rows)
+        reseed.add(joiner)
 
         # Ring neighbours within l/2 positions gain (or shift) a leaf.
-        for node_id in self._window_ids(j_index, half, exclude=joiner):
-            self._rebuild_leaf(node_id)
-            changed.add(node_id)
+        self._rebuild_window(j_index, reseed, exclude=joiner)
 
         # Offer the joiner to the one table cell per row it can occupy:
         # owners share the row's prefix but differ in the joiner's digit.
+        # An empty cell takes it (its group was empty, so the rebuild
+        # would pick the sole member).  Otherwise perfect and good
+        # quality replace the incumbent iff the joiner is strictly
+        # closer, ties to the smaller id -- the rebuild's pick, and the
+        # order M ranks by; random quality keeps the incumbent, any
+        # group member being valid.
+        keep_incumbent = net.table_quality == TABLE_QUALITY_RANDOM
         for row in range(max_rows):
             col = space.digit(joiner, row)
-            prefix = space.prefix(joiner, row)
-            for owner_id in self._owners(row, prefix, col):
-                if self._offer(net.nodes[owner_id], row, col, joiner):
-                    changed.add(owner_id)
+            owners = self._owners(row, space.prefix(joiner, row), col)
+            for node in map(nodes.__getitem__, owners):
+                table = node.state.routing_table
+                cells = table._rows[row]
+                incumbent = None if cells is None else cells[col]
+                proximity = node._proximity
+                if incumbent is None:
+                    distance = proximity(joiner)
+                elif keep_incumbent:
+                    continue
+                else:
+                    distance = proximity(joiner)
+                    rival = proximity(incumbent)
+                    if distance > rival or (distance == rival and joiner > incumbent):
+                        continue
+                table.install(row, col, joiner)
+                if node.node_id in reseed:
+                    continue
+                leaf = node.state.leaf_set.members()
+                left = [] if incumbent is None or incumbent in leaf else [incumbent]
+                entered = [] if joiner in leaf else [(distance, joiner)]
+                if not node.state.neighborhood.replace(left, entered):
+                    reseed.add(node.node_id)
 
-        self._reseed(changed)
+        self._reseed(reseed)
 
     def on_leave(self, departed: int) -> None:
         """A node left the live ring (silent failure or departure)."""
         net = self.network
+        nodes = net.nodes
         ids = net._live_sorted
         count = len(ids)
         if count == 0:
             return
         space = self.space
-        half = net.leaf_capacity // 2
-        changed: Set[int] = set()
+        reseed: Set[int] = set()
 
         old_rows = oracle_rows(space, count + 1)
         max_rows = oracle_rows(space, count)
@@ -134,17 +167,14 @@ class IncrementalOracle:
             # Shrinking across a threshold vacates the now-unpopulated
             # deep rows everywhere, as a rebuild at the new size would.
             for node_id in ids:
-                node = net.nodes[node_id]
+                table = nodes[node_id].state.routing_table
                 for row in range(max_rows, old_rows):
-                    if node.state.routing_table.clear_row(row):
-                        changed.add(node_id)
+                    if table.clear_row(row):
+                        reseed.add(node_id)
 
         # Leaf sets that referenced the departed node: every node within
         # l/2 ring positions of its former slot.
-        d_index = bisect_left(ids, departed)
-        for node_id in self._window_ids(d_index, half):
-            self._rebuild_leaf(node_id)
-            changed.add(node_id)
+        self._rebuild_window(bisect_left(ids, departed), reseed)
 
         # Table cells occupied by the departed node: one per row, owned
         # by the prefix-sharers; re-pick from the shrunken group (or
@@ -153,18 +183,28 @@ class IncrementalOracle:
             col = space.digit(departed, row)
             prefix = space.prefix(departed, row)
             lo, hi = self._group_slice(row, prefix, col)
-            for owner_id in self._owners(row, prefix, col):
-                node = net.nodes[owner_id]
+            holders = [
+                node
+                for node in map(nodes.__getitem__, self._owners(row, prefix, col))
+                if (cells := node.state.routing_table._rows[row]) is not None
+                and cells[col] == departed
+            ]
+            for node in holders:
                 table = node.state.routing_table
-                if table.lookup(row, col) != departed:
-                    continue
+                entered = []
                 if lo >= hi:
                     table.clear(row, col)
                 else:
-                    table.install(row, col, self._pick(node, lo, hi))
-                changed.add(owner_id)
+                    pick = self._pick(node, lo, hi)
+                    table.install(row, col, pick)
+                    if pick not in node.state.leaf_set.members():
+                        entered.append((node._proximity(pick), pick))
+                if node.node_id in reseed:
+                    continue
+                if not node.state.neighborhood.replace([departed], entered):
+                    reseed.add(node.node_id)
 
-        self._reseed(changed)
+        self._reseed(reseed)
 
     def on_revive(self, node_id: int) -> None:
         """A failed node came back: its retained state is stale, so it is
@@ -186,10 +226,10 @@ class IncrementalOracle:
             bisect_left(ids, low_id + (1 << shift)),
         )
 
-    def _owners(self, row: int, prefix: int, digit: int) -> Iterator[int]:
+    def _owners(self, row: int, prefix: int, digit: int) -> Sequence[int]:
         """Live ids sharing the row's prefix whose digit differs from
-        *digit* -- the owners of cell (row, *digit*).  Two chained ring
-        ranges: the prefix range minus the digit group's subrange."""
+        *digit* -- the owners of cell (row, *digit*), ascending: the
+        prefix range of the ring minus the digit group's subrange."""
         ids = self.network._live_sorted
         space = self.space
         if row == 0:
@@ -200,10 +240,7 @@ class IncrementalOracle:
             range_lo = bisect_left(ids, low_id)
             range_hi = bisect_left(ids, low_id + (1 << shift))
         group_lo, group_hi = self._group_slice(row, prefix, digit)
-        for index in range(range_lo, group_lo):
-            yield ids[index]
-        for index in range(group_hi, range_hi):
-            yield ids[index]
+        return ids[range_lo:group_lo] + ids[group_hi:range_hi]
 
     def _window_ids(
         self, center_index: int, half: int, exclude: Optional[int] = None
@@ -292,43 +329,40 @@ class IncrementalOracle:
             return best
         return net._pick_table_entry(node, list(ids[lo:hi]), self._rng)
 
-    def _offer(self, node: PastryNode, row: int, col: int, candidate: int) -> bool:
-        """Offer *candidate* for cell (row, col); True if installed.
-
-        An empty cell always takes the candidate (its group was empty
-        before, so the rebuild would now pick the sole member).  Perfect
-        quality replaces the incumbent iff the candidate wins the
-        deterministic pick -- min over (old group + candidate) is then
-        min over the new group.  Good quality applies the same
-        improvement rule (strictly proximally closer wins); random
-        quality keeps the incumbent, any group member being valid.
-        """
-        table = node.state.routing_table
-        incumbent = table.lookup(row, col)
-        if incumbent == candidate:
-            return False
-        if incumbent is None:
-            table.install(row, col, candidate)
-            return True
-        net = self.network
-        if net.table_quality == TABLE_QUALITY_RANDOM:
-            return False
-        distance = node._proximity
-        if (distance(candidate), candidate) < (distance(incumbent), incumbent):
-            table.install(row, col, candidate)
-            return True
-        return False
-
     # ------------------------------------------------------------------ #
     # neighborhood invariant
     # ------------------------------------------------------------------ #
 
-    def _reseed(self, changed: Set[int]) -> None:
-        """Re-derive the neighborhood set of every node whose leaf set or
-        routing table changed (M is a pure function of those two)."""
+    def _rebuild_window(
+        self, center_index: int, reseed: Set[int], exclude: Optional[int] = None
+    ) -> None:
+        """Rebuild the leaf sets within l/2 ring positions of
+        *center_index* and move each M by the pool change: leaf members
+        gained or lost, less the ids the table holds either way."""
+        nodes = self.network.nodes
+        for node_id in self._window_ids(
+            center_index, self.network.leaf_capacity // 2, exclude=exclude
+        ):
+            node = nodes[node_id]
+            old = node.state.leaf_set.members()
+            self._rebuild_leaf(node_id)
+            if node_id in reseed:
+                continue
+            new = node.state.leaf_set.members()
+            table = node.state.routing_table
+            left = [member for member in old - new if member not in table]
+            entered = [(node._proximity(member), member)
+                       for member in new - old if member not in table]
+            if not node.state.neighborhood.replace(left, entered):
+                reseed.add(node_id)
+
+    def _reseed(self, reseed: Set[int]) -> None:
+        """Re-rank the neighborhood set of every node in *reseed* from
+        its leaf set and routing table (M is a pure function of those
+        two)."""
         nodes = self.network.nodes
         batch_distance = self.network.topology.batch_distance
-        for node_id in sorted(changed):
+        for node_id in sorted(reseed):
             nodes[node_id].state.reseed_neighborhood(batch_distance(node_id))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

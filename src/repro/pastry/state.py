@@ -64,9 +64,10 @@ class NodeState:
 
         This is the oracle's neighborhood invariant: M is always exactly
         what a fresh proximity-ranked pass over leaf-set members and
-        routing-table entries would admit.  The incremental maintainer
-        calls this for every node whose leaf set or table changed; the
-        full rebuild uses the same pass, so the two stay byte-identical.
+        routing-table entries would admit.  The full rebuild uses this
+        pass; the incremental maintainer moves M by each event's pool
+        delta (``NeighborhoodSet.replace``) and falls back to this pass
+        where the delta cannot say what replaces a departed member.
         Candidates are ranked by ``(distance, id)`` in bulk and loaded
         directly -- identical to offering them through ``add`` in
         ascending-id order (the set is always the best-|M| by that key,

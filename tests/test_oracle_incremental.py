@@ -9,13 +9,16 @@ interleavings (crossing ``oracle_rows`` thresholds in both directions)
 across many seeds and compare against the rebuild at checkpoints.
 """
 
+import hashlib
 import random
 
 import pytest
 
+from repro.netsim.topology import RandomGraphTopology
 from repro.pastry.network import (
     TABLE_QUALITY_GOOD,
     TABLE_QUALITY_PERFECT,
+    TABLE_QUALITY_RANDOM,
     PastryNetwork,
     oracle_rows,
 )
@@ -71,13 +74,13 @@ def _churn_step(net, rng, dead):
         net.add_node()
 
 
-def _make(seed, bits, b, quality, n):
+def _make(seed, bits, b, quality, n, neighborhood_capacity=8):
     net = PastryNetwork(
         space=IdSpace(bits=bits, b=b),
         rngs=RngRegistry(seed),
         table_quality=quality,
         leaf_capacity=8,
-        neighborhood_capacity=8,
+        neighborhood_capacity=neighborhood_capacity,
     )
     net.build(n, method="oracle")
     return net
@@ -178,6 +181,137 @@ class TestSampledQualityValidity:
         net.detach_incremental_oracle()
         net.rebuild_state_oracle()
         assert incremental_leaves == _leaf_fingerprint(net)
+
+
+def _neighborhood(state):
+    neighborhood = state.neighborhood
+    return neighborhood.ordered_members(), list(neighborhood._distances)
+
+
+def _check_m_through_churn(net, rng, floor):
+    """Churn *net* for 30 events, then fail nodes down to *floor*
+    live; after every single event each live node's M must be exactly
+    what ``reseed_neighborhood`` builds from its current leaf set and
+    table, members and distances.  Returns the row counts seen and the
+    number of nodes checked."""
+    net.attach_incremental_oracle()
+    batch_distance = net.topology.batch_distance
+    dead = []
+    row_counts = {oracle_rows(net.space, net.live_count())}
+    checks = 0
+
+    def check():
+        nonlocal checks
+        for node_id in net.live_ids():
+            state = net.nodes[node_id].state
+            maintained = state.neighborhood
+            actual = _neighborhood(state)
+            state.reseed_neighborhood(batch_distance(node_id))
+            assert actual == _neighborhood(state), (
+                f"M of {node_id:x} is not the reseed of its leaf set and table"
+            )
+            state.neighborhood = maintained
+            checks += 1
+
+    for _ in range(30):
+        _churn_step(net, rng, dead)
+        row_counts.add(oracle_rows(net.space, net.live_count()))
+        check()
+    while net.live_count() > floor:
+        net.mark_failed(net.live_ids()[rng.randrange(net.live_count())])
+        row_counts.add(oracle_rows(net.space, net.live_count()))
+        check()
+    return row_counts, checks
+
+
+class TestNeighborhoodFollowsLeafAndTable:
+    """The maintainer moves M by each event's pool change instead of
+    re-ranking it; M must stay a pure function of leaf set and table
+    at every quality, across ``oracle_rows`` thresholds both ways,
+    through revivals, and with M both smaller (8) and larger (32) than
+    the pool."""
+
+    @pytest.mark.parametrize("capacity", [8, 32])
+    @pytest.mark.parametrize("b,n_start", [(2, 15), (4, 14)])
+    @pytest.mark.parametrize(
+        "quality", [TABLE_QUALITY_GOOD, TABLE_QUALITY_RANDOM, TABLE_QUALITY_PERFECT]
+    )
+    def test_m_is_reseed_of_leaf_and_table_after_every_event(
+        self, quality, b, n_start, capacity
+    ):
+        net = _make(5, 32, b, quality, n_start, neighborhood_capacity=capacity)
+        rng = random.Random(b * 100 + capacity)
+        row_counts, checks = _check_m_through_churn(net, rng, n_start - 2)
+        assert len(row_counts) > 1
+        assert checks > 500
+
+    @pytest.mark.parametrize(
+        "quality", [TABLE_QUALITY_GOOD, TABLE_QUALITY_RANDOM, TABLE_QUALITY_PERFECT]
+    )
+    def test_distance_ties_rank_by_id(self, quality):
+        """Hop-count distances over eight routers tie all the time, so
+        every entrant's place among equals comes down to its id."""
+        rngs = RngRegistry(8)
+        net = PastryNetwork(
+            space=IdSpace(bits=32, b=4),
+            topology=RandomGraphTopology(rngs.stream("topology"), routers=8),
+            rngs=rngs,
+            table_quality=quality,
+            leaf_capacity=8,
+            neighborhood_capacity=8,
+        )
+        net.build(24, method="oracle")
+        _, checks = _check_m_through_churn(net, random.Random(8), 20)
+        assert checks > 500
+        if quality == TABLE_QUALITY_PERFECT:
+            # Table cells break the same ties the same way as the rebuild.
+            incremental = _state_fingerprint(net)
+            net.detach_incremental_oracle()
+            net.rebuild_state_oracle()
+            assert incremental == _state_fingerprint(net)
+
+
+def _state_digest(net):
+    """SHA-256 over every live node's leaf sides, table rows and M
+    (members and the exact bits of their distances)."""
+    digest = hashlib.sha256()
+    for node_id in net.live_ids():
+        state = net.nodes[node_id].state
+        table = state.routing_table
+        rows = [
+            (row, table.row(row))
+            for row in range(net.space.digits)
+            if table.row_entries(row)
+        ]
+        members, distances = _neighborhood(state)
+        digest.update(repr((
+            node_id,
+            state.leaf_set.larger_side(),
+            state.leaf_set.smaller_side(),
+            rows,
+            members,
+            [distance.hex() for distance in distances],
+        )).encode())
+    return digest.hexdigest()
+
+
+class TestMaintainerDecisionsPinned:
+    def test_good_quality_churn_state_digest(self):
+        """1024 nodes at good quality (the default space, leaf set and
+        M), 50 add/fail pairs at a fixed seed.  The digest was recorded
+        when every touched M was still re-ranked from scratch: keeping
+        M by its pool delta must change no structure's contents."""
+        net = PastryNetwork(rngs=RngRegistry(46), table_quality=TABLE_QUALITY_GOOD)
+        net.build(1024, method="oracle")
+        net.attach_incremental_oracle()
+        rng = random.Random(46)
+        for _ in range(50):
+            net.add_node()
+            live = net.live_ids()
+            net.mark_failed(live[rng.randrange(len(live))])
+        assert _state_digest(net) == (
+            "847e6cf8dc2d9e213bd843b065a4969beb97147a8919b76d1ea0ba3b09c9b265"
+        )
 
 
 class TestReviveDiscardsStaleState:

@@ -202,3 +202,30 @@ class TestNeighborhoodSet:
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
             NeighborhoodSet(0, lambda n: 0.0, 0)
+
+    def test_replace_swaps_a_member_for_an_entrant_ranked_ahead_of_the_last(self):
+        ns, _ = self.make(capacity=3)
+        ns.bulk_load([(1.0, 1), (2.0, 2), (3.0, 3)])
+        assert ns.replace([2], [(2.5, 7)])
+        assert ns.ordered_members() == [1, 7, 3]
+
+    def test_replace_refuses_when_the_pool_beyond_m_is_needed(self):
+        ns, _ = self.make(capacity=3)
+        ns.bulk_load([(1.0, 1), (2.0, 2), (3.0, 3)])
+        version = ns.version
+        # 7 ranks after the last member: an unseen pool id might beat it.
+        assert not ns.replace([2], [(4.0, 7)])
+        assert ns.ordered_members() == [1, 2, 3]
+        assert ns.version == version
+
+    def test_replace_below_capacity_needs_no_entrant(self):
+        ns, _ = self.make(capacity=4)
+        ns.bulk_load([(1.0, 1), (2.0, 2)])
+        assert ns.replace([1, 9], [])  # 9 left the pool but was never in M
+        assert ns.ordered_members() == [2]
+
+    def test_replace_ranks_distance_ties_by_id_and_evicts_the_last(self):
+        ns, _ = self.make(capacity=3)
+        ns.bulk_load([(1.0, 1), (2.0, 5), (3.0, 3)])
+        assert ns.replace([], [(2.0, 4), (2.0, 6)])
+        assert ns.ordered_members() == [1, 4, 5]
