@@ -5,13 +5,12 @@ papers) report; this package provides the plumbing so every benchmark
 renders consistently and computes statistics the same way.
 """
 
-from repro.analysis.stats import confidence_interval_95, mean, percentile, stddev
+from repro.analysis.stats import mean, percentile, stddev
 from repro.analysis.tables import format_table
 
 __all__ = [
     "mean",
     "stddev",
     "percentile",
-    "confidence_interval_95",
     "format_table",
 ]

@@ -7,7 +7,7 @@ of the handful of statistics the benchmarks report.
 from __future__ import annotations
 
 import math
-from typing import Sequence, Tuple
+from typing import Sequence
 
 
 def mean(values: Sequence[float]) -> float:
@@ -45,16 +45,6 @@ def percentile(values: Sequence[float], q: float) -> float:
         return ordered[int(rank)]
     weight = rank - low
     return ordered[low] + weight * (ordered[high] - ordered[low])
-
-
-def confidence_interval_95(values: Sequence[float]) -> Tuple[float, float]:
-    """Normal-approximation 95% CI for the mean: mean +/- 1.96 * sem."""
-    if len(values) < 2:
-        m = mean(values)
-        return (m, m)
-    sem = stddev(values) / math.sqrt(len(values))
-    m = mean(values)
-    return (m - 1.96 * sem, m + 1.96 * sem)
 
 
 def coefficient_of_variation(values: Sequence[float]) -> float:

@@ -43,13 +43,3 @@ def format_table(
     for row in rendered:
         lines.append(" | ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
     return "\n".join(lines)
-
-
-def print_table(
-    headers: Sequence[str],
-    rows: Sequence[Sequence[object]],
-    title: Optional[str] = None,
-) -> None:
-    """Render and print (the form the benchmarks call)."""
-    print()
-    print(format_table(headers, rows, title))

@@ -81,16 +81,6 @@ def zones_adjacent(a: Zone, b: Zone) -> bool:
     return touching == 1
 
 
-def torus_distance(a: Point, b: Point) -> float:
-    """Squared Euclidean distance on the unit torus."""
-    total = 0.0
-    for xa, xb in zip(a, b):
-        delta = abs(xa - xb)
-        delta = min(delta, 1.0 - delta)
-        total += delta * delta
-    return total
-
-
 def _coordinate_gap(value: float, low: float, high: float) -> float:
     """Torus distance from *value* to the interval [low, high)."""
     if low <= value < high:

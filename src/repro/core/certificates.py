@@ -145,10 +145,6 @@ class StoreReceipt:
     def diverted(self) -> bool:
         return bool(self.envelope.fields["diverted"])
 
-    @property
-    def storing_node_key(self) -> PublicKey:
-        return self.envelope.signer
-
     def verify(self, certificate: FileCertificate) -> bool:
         """Signature valid and consistent with the file certificate."""
         if not self.envelope.verify():

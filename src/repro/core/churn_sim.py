@@ -22,13 +22,7 @@ from repro.core.client import FileHandle
 from repro.core.errors import LookupFailedError
 from repro.core.maintenance import replication_census, restore_replication
 from repro.core.network import PastNetwork
-from repro.faults.plan import (
-    ADJACENT_FAILURE,
-    CRASH,
-    RESTART,
-    SLOW_NODE,
-    FaultEvent,
-)
+from repro.faults.plan import ADJACENT_FAILURE, CRASH, RESTART, FaultEvent
 from repro.obs.events import FaultInjected
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace_context import TraceContext
@@ -87,8 +81,8 @@ class ChurnSimulation:
 
         *fault_plan* is an optional :class:`repro.faults.plan.FaultPlan`
         whose scheduled events (crashes, restarts, coordinated adjacent
-        failures, slow nodes) are applied on the engine alongside the
-        Poisson churn; *checker* is an optional
+        failures) are applied on the engine alongside the Poisson churn;
+        *checker* is an optional
         :class:`repro.faults.invariants.InvariantChecker` run after every
         injected event.
 
@@ -262,13 +256,6 @@ class ChurnSimulation:
                 None,
                 f"{event.count} adjacent nodes around {anchor:x}",
             )
-        elif event.kind == SLOW_NODE:
-            victim = event.target if event.target is not None else plan.pick_target(live)
-            if victim is None:
-                return
-            plan.set_slow(victim)
-            plan.count(SLOW_NODE)
-            self._emit_fault(SLOW_NODE, victim, "traffic stretched")
         if self.checker is not None:
             self.checker.check_all()
 
@@ -285,12 +272,8 @@ class ChurnSimulation:
         self._engine = engine
         obs = self.network.obs
         if obs.enabled:
-            # Events published during the run carry sim-time timestamps,
-            # and the cost ledger bins charges into sim-time windows
-            # (bytes/node/sim-second rates).
+            # Events published during the run carry sim-time timestamps.
             obs.clock = lambda: engine.now
-            if obs.ledger is not None:
-                obs.ledger.clock = lambda: engine.now
         # The churn and fault schedules are fully known up front, so they
         # bulk-load in one heapify pass each (schedule_many_at) instead
         # of one heap-push per event.
@@ -317,8 +300,6 @@ class ChurnSimulation:
         engine.run(until=duration)
         if obs.enabled:
             obs.clock = None
-            if obs.ledger is not None:
-                obs.ledger.clock = None
 
         census = replication_census(self.network)
         counter = self._metrics.counter

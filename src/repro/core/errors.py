@@ -75,8 +75,3 @@ class ReclaimDeniedError(PastError):
 class CertificateError(PastError):
     """A certificate or receipt failed verification (bad signature,
     mismatched field, or uncertified smartcard)."""
-
-
-class AuditFailedError(PastError):
-    """A storage node failed a random audit: it could not produce a file
-    it is supposed to store (section 2.1, storage quotas)."""

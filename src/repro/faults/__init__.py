@@ -6,7 +6,6 @@ from repro.faults.plan import (
     ADJACENT_FAILURE,
     CRASH,
     RESTART,
-    SLOW_NODE,
     FaultEvent,
     FaultPlan,
     MessageFault,
@@ -18,7 +17,6 @@ __all__ = [
     "ADJACENT_FAILURE",
     "CRASH",
     "RESTART",
-    "SLOW_NODE",
     "FaultEvent",
     "FaultPlan",
     "InvariantChecker",

@@ -1,7 +1,7 @@
 """The chaos driver: one deterministic fault-injected run, end to end.
 
 Builds a full PAST deployment, inserts a file population, then lets a
-seeded :class:`~repro.faults.plan.FaultPlan` crash, restart, slow, and
+seeded :class:`~repro.faults.plan.FaultPlan` crash, restart, and
 coordinately fail nodes while the churn engine keeps an ongoing lookup
 workload running.  The :class:`~repro.faults.invariants.InvariantChecker`
 sweeps the deployment after every injected fault; everything lands on

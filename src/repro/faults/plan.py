@@ -2,19 +2,16 @@
 
 A :class:`FaultPlan` is the single source of chaos for one run: every
 fault it injects -- message drops, delays, duplicates, reorders, node
-crashes/restarts, slow nodes, and the coordinated leaf-set-adjacent
-failures that probe claim C6's boundary -- is drawn from named RNG
-streams under one seed (:mod:`repro.sim.rng`), so two runs with the same
-seed inject byte-identical chaos.
+crashes/restarts, and the coordinated leaf-set-adjacent failures that
+probe claim C6's boundary -- is drawn from named RNG streams under one
+seed (:mod:`repro.sim.rng`), so two runs with the same seed inject
+byte-identical chaos.
 
 The plan is *consumed* by the layers it torments rather than driving
 them itself:
 
 * the live :class:`~repro.live.transport.InProcessTransport` asks
   :meth:`FaultPlan.message_fault` before delivering each message;
-* latency models wrap themselves in
-  :class:`~repro.netsim.latency.FaultyLatency`, which calls
-  :meth:`FaultPlan.perturb_delay` (slow nodes, injected delay);
 * the churn simulation (:mod:`repro.core.churn_sim`) applies the plan's
   scheduled :class:`FaultEvent` list against the Pastry network and its
   failure-detection machinery.
@@ -23,17 +20,17 @@ them itself:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.sim.rng import RngRegistry, stable_seed
 
-# Node-level fault kinds (the FaultEvent schedule).
+# Node-level fault kinds (the FaultEvent schedule); the churn simulation
+# applies every one of them.
 CRASH = "crash"
 RESTART = "restart"
 ADJACENT_FAILURE = "adjacent-failure"
-SLOW_NODE = "slow-node"
 
-EVENT_KINDS = (CRASH, RESTART, ADJACENT_FAILURE, SLOW_NODE)
+EVENT_KINDS = (CRASH, RESTART, ADJACENT_FAILURE)
 
 
 @dataclass(frozen=True)
@@ -83,7 +80,6 @@ class FaultPlan:
         reorder_rate: float = 0.0,
         delay_rate: float = 0.0,
         delay_range: Tuple[float, float] = (0.5, 2.0),
-        slow_factor: float = 4.0,
         events: Sequence[FaultEvent] = (),
     ) -> None:
         for name, rate in (
@@ -96,8 +92,6 @@ class FaultPlan:
                 raise ValueError(f"{name} must be in [0, 1]")
         if delay_range[0] < 0 or delay_range[1] < delay_range[0]:
             raise ValueError("delay_range must be a non-negative (lo, hi)")
-        if slow_factor < 1.0:
-            raise ValueError("slow_factor below 1 would speed nodes up")
         self.seed = int(seed)
         self.rngs = RngRegistry(stable_seed("fault-plan", seed))
         self.drop_rate = drop_rate
@@ -105,11 +99,9 @@ class FaultPlan:
         self.reorder_rate = reorder_rate
         self.delay_rate = delay_rate
         self.delay_range = delay_range
-        self.slow_factor = slow_factor
         self.events: Tuple[FaultEvent, ...] = tuple(
             sorted(events, key=lambda e: (e.time, e.kind, e.target or 0, e.count))
         )
-        self.slow_nodes: Set[int] = set()
         # Tallies of what actually fired (inspection / chaos report).
         self.injected: Dict[str, int] = {}
 
@@ -119,14 +111,6 @@ class FaultPlan:
 
     def count(self, kind: str, amount: int = 1) -> None:
         self.injected[kind] = self.injected.get(kind, 0) + amount
-
-    def set_slow(self, node_id: int) -> None:
-        """Mark a node slow: all its traffic is stretched by
-        ``slow_factor`` in any :class:`FaultyLatency`-wrapped model."""
-        self.slow_nodes.add(node_id)
-
-    def clear_slow(self, node_id: int) -> None:
-        self.slow_nodes.discard(node_id)
 
     # ------------------------------------------------------------------ #
     # message-level faults
@@ -160,18 +144,6 @@ class FaultPlan:
             self.count("message-reorder")
         return MessageFault(duplicate=duplicate, delay=delay, defer=defer)
 
-    def perturb_delay(self, origin: int, destination: int, delay: float) -> float:
-        """Latency-model hook: stretch delays touching slow nodes and
-        add the planned extra delay share (see FaultyLatency)."""
-        if origin in self.slow_nodes or destination in self.slow_nodes:
-            delay *= self.slow_factor
-        if self.delay_rate > 0:
-            rng = self.rngs.stream("latency")
-            if rng.random() < self.delay_rate:
-                delay += rng.uniform(*self.delay_range)
-                self.count("latency-delay")
-        return delay
-
     # ------------------------------------------------------------------ #
     # apply-time target selection
     # ------------------------------------------------------------------ #
@@ -195,7 +167,6 @@ class FaultPlan:
             "duplicate_rate": self.duplicate_rate,
             "reorder_rate": self.reorder_rate,
             "delay_rate": self.delay_rate,
-            "slow_factor": self.slow_factor,
             "events": [
                 {"time": e.time, "kind": e.kind, "target": e.target, "count": e.count}
                 for e in self.events
@@ -217,14 +188,13 @@ def build_schedule(
     restarts: int = 2,
     adjacent_boundary: int = 1,
     adjacent_safe: int = 1,
-    slow: int = 1,
 ) -> List[FaultEvent]:
     """A deterministic chaos schedule spread over *duration*.
 
     Includes *adjacent_boundary* coordinated failures of exactly
     ``half_leaf`` adjacent nodeIds (the C6 boundary: loss is permitted)
     and *adjacent_safe* of ``half_leaf - 1`` (the complement: delivery
-    must survive).  Crash/restart/slow events fill in around them.
+    must survive).  Crash and restart events fill in around them.
     """
     if duration <= 0:
         raise ValueError("duration must be positive")
@@ -247,7 +217,5 @@ def build_schedule(
         events.append(
             FaultEvent(time=when(), kind=ADJACENT_FAILURE, count=half_leaf - 1)
         )
-    for _ in range(slow):
-        events.append(FaultEvent(time=when(), kind=SLOW_NODE))
     events.sort(key=lambda e: (e.time, e.kind, e.count))
     return events

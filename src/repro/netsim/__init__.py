@@ -5,8 +5,8 @@ against "a scalar proximity metric, such as the number of IP hops,
 geographic distance, or a combination".  This package supplies such
 metrics over synthetic topologies:
 
-* Euclidean plane / sphere point sets -- geographic distance, the metric
-  the Pastry paper's own simulations use;
+* Euclidean plane point sets -- geographic distance, the metric the
+  Pastry paper's own simulations use;
 * random-graph shortest-path hop counts -- an IP-hop-like metric built on
   a sparse connected graph.
 """
@@ -20,14 +20,12 @@ from repro.netsim.latency import LatencyModel, ProximityLatency, UniformLatency
 from repro.netsim.topology import (
     EuclideanPlaneTopology,
     RandomGraphTopology,
-    SphereTopology,
     Topology,
 )
 
 __all__ = [
     "Topology",
     "EuclideanPlaneTopology",
-    "SphereTopology",
     "RandomGraphTopology",
     "ProximityIndex",
     "GridProximityIndex",

@@ -15,7 +15,7 @@ Two implementations:
   densities the experiments use, and it rebuilds itself at a finer
   resolution as membership grows so cell occupancy stays bounded.
 * :class:`LinearProximityIndex` -- the generic fallback for topologies
-  with no geometric structure (graphs, spheres): a plain scan, but
+  with no geometric structure (graphs): a plain scan, but
   behind the same interface so callers never branch.
 
 Both produce *bit-identical* answers: the nearest member under the key

@@ -50,27 +50,6 @@ class UniformLatency(LatencyModel):
         return self.base
 
 
-class FaultyLatency(LatencyModel):
-    """Wraps any latency model with a fault plan's perturbations.
-
-    Slow nodes see all their traffic stretched by the plan's
-    ``slow_factor``; planned delay faults add seeded extra latency.  The
-    wrapped model stays untouched, so the same experiment runs clean or
-    chaotic by swapping one object.
-    """
-
-    def __init__(self, base: LatencyModel, plan) -> None:
-        """*plan* is a :class:`repro.faults.plan.FaultPlan` (duck-typed
-        to avoid a dependency cycle: anything with ``perturb_delay``)."""
-        self.base = base
-        self.plan = plan
-
-    def delay(self, origin: int, destination: int) -> float:
-        return self.plan.perturb_delay(
-            origin, destination, self.base.delay(origin, destination)
-        )
-
-
 class ProximityLatency(LatencyModel):
     """Delay proportional to the topology's proximity metric.
 

@@ -9,7 +9,6 @@ hit rate).
 
 from __future__ import annotations
 
-import heapq
 import math
 import random
 from abc import ABC, abstractmethod
@@ -165,49 +164,6 @@ class EuclideanPlaneTopology(Topology):
         return len(self._points)
 
 
-class SphereTopology(Topology):
-    """Endpoints are uniform random points on a sphere; distance is the
-    great-circle distance.
-
-    The Pastry paper's simulations place nodes on a sphere; we offer the
-    same model so locality results can be cross-checked between metrics.
-    """
-
-    def __init__(self, rng: random.Random, radius: float = 6371.0) -> None:
-        if radius <= 0:
-            raise ValueError("radius must be positive")
-        self._rng = rng
-        self.radius = radius
-        self._points: Dict[int, Tuple[float, float, float]] = {}
-
-    def add_endpoint(self, address: int) -> None:
-        if address in self._points:
-            raise ValueError(f"endpoint {address} already registered")
-        # Uniform on the sphere: normalise a 3D Gaussian sample.
-        while True:
-            x = self._rng.gauss(0.0, 1.0)
-            y = self._rng.gauss(0.0, 1.0)
-            z = self._rng.gauss(0.0, 1.0)
-            norm = math.sqrt(x * x + y * y + z * z)
-            if norm > 1e-9:
-                break
-        self._points[address] = (x / norm, y / norm, z / norm)
-
-    def remove_endpoint(self, address: int) -> None:
-        self._points.pop(address, None)
-
-    def distance(self, a: int, b: int) -> float:
-        if a == b:
-            return 0.0  # acos(dot) would return a float-noise epsilon
-        xa, ya, za = self._points[a]
-        xb, yb, zb = self._points[b]
-        dot = max(-1.0, min(1.0, xa * xb + ya * yb + za * zb))
-        return self.radius * math.acos(dot)
-
-    def __len__(self) -> int:
-        return len(self._points)
-
-
 class RandomGraphTopology(Topology):
     """An IP-hop-like metric: shortest-path hop count in a random graph.
 
@@ -285,85 +241,6 @@ class RandomGraphTopology(Topology):
         if ra == rb:
             return 2.0  # both access links through the same router
         return float(self._hops_from(ra)[rb] + 2)
-
-    def __len__(self) -> int:
-        return len(self._attachment)
-
-
-class WeightedGraphTopology(Topology):
-    """Shortest-path metric over a randomly weighted router graph.
-
-    Like :class:`RandomGraphTopology` but edges carry latency-like
-    weights, so the metric is continuous rather than integral.  Uses
-    Dijkstra with memoised single-source results.
-    """
-
-    def __init__(
-        self,
-        rng: random.Random,
-        routers: int = 200,
-        degree: int = 4,
-        min_weight: float = 1.0,
-        max_weight: float = 20.0,
-    ) -> None:
-        if min_weight <= 0 or max_weight < min_weight:
-            raise ValueError("need 0 < min_weight <= max_weight")
-        self._rng = rng
-        self.router_count = routers
-        self._edges: Dict[int, List[Tuple[int, float]]] = {i: [] for i in range(routers)}
-        self._build(degree, min_weight, max_weight)
-        self._attachment: Dict[int, int] = {}
-        self._sssp_cache: Dict[int, List[float]] = {}
-
-    def _build(self, degree: int, lo: float, hi: float) -> None:
-        def connect(a: int, b: int) -> None:
-            if a == b or any(nbr == b for nbr, _ in self._edges[a]):
-                return
-            w = self._rng.uniform(lo, hi)
-            self._edges[a].append((b, w))
-            self._edges[b].append((a, w))
-
-        for i in range(self.router_count):
-            connect(i, (i + 1) % self.router_count)
-        for i in range(self.router_count):
-            for _ in range(max(degree - 2, 0)):
-                connect(i, self._rng.randrange(self.router_count))
-
-    def add_endpoint(self, address: int) -> None:
-        if address in self._attachment:
-            raise ValueError(f"endpoint {address} already registered")
-        self._attachment[address] = self._rng.randrange(self.router_count)
-
-    def remove_endpoint(self, address: int) -> None:
-        self._attachment.pop(address, None)
-
-    def _dist_from(self, router: int) -> List[float]:
-        cached = self._sssp_cache.get(router)
-        if cached is not None:
-            return cached
-        dist = [math.inf] * self.router_count
-        dist[router] = 0.0
-        heap: List[Tuple[float, int]] = [(0.0, router)]
-        while heap:
-            d, u = heapq.heappop(heap)
-            if d > dist[u]:
-                continue
-            for v, w in self._edges[u]:
-                nd = d + w
-                if nd < dist[v]:
-                    dist[v] = nd
-                    heapq.heappush(heap, (nd, v))
-        self._sssp_cache[router] = dist
-        return dist
-
-    def distance(self, a: int, b: int) -> float:
-        if a == b:
-            return 0.0
-        ra = self._attachment[a]
-        rb = self._attachment[b]
-        if ra == rb:
-            return 1.0
-        return self._dist_from(ra)[rb] + 1.0
 
     def __len__(self) -> int:
         return len(self._attachment)

@@ -77,7 +77,6 @@ MESSAGE_COSTS: Dict[str, Tuple[str, int]] = {
     "join-leafset": (CATEGORY_JOIN, _SET_BYTES),
     "join-row": (CATEGORY_JOIN, _ROW_BYTES),
     "join-announce": (CATEGORY_JOIN, _KEY_BYTES),
-    "refine": (CATEGORY_CONTROL, _SET_BYTES),  # periodic state exchange
     "repair": (CATEGORY_REPAIR, _SET_BYTES),  # state request/reply pair half
     "repair-probe": (CATEGORY_REPAIR, _KEY_BYTES),
     "leafset-exchange": (CATEGORY_LEAF_STABILIZE, _SET_BYTES),

@@ -8,10 +8,12 @@ sent it; the ledger aggregates messages and estimated wire bytes
 
 * per activity **category** (the fixed seven-way taxonomy),
 * per **kind** (so an unpriced kind is visible, not silently averaged),
-* per **node** (who is spending), and
-* per sim-time **window** (bytes/node/sim-second rates, when a clock is
-  installed -- simulation drivers set ``ledger.clock`` exactly like
-  ``observer.clock``).
+  and
+* per **node** (who is spending).
+
+Rates over time come from these totals (:meth:`CostLedger.rates`) or
+from the :class:`~repro.obs.timeseries.TimeSeriesRecorder`'s windows;
+the ledger keeps no clock of its own.
 
 Determinism: the ledger performs pure integer accounting keyed by
 strings and node ids; :meth:`snapshot` sorts every axis, so two seeded
@@ -29,32 +31,17 @@ from repro.obs.cost_model import CostModel
 
 
 class CostLedger:
-    """Message/byte accounting per category, kind, node and time window.
+    """Message/byte accounting per category, kind and node."""
 
-    *clock* supplies sim-time for windowed rates (None disables
-    windowing); *window* is the bucket width in sim-seconds.
-    """
+    __slots__ = ("model", "_by_category", "_by_kind", "_node_bytes",
+                 "_unpriced", "on_unpriced")
 
-    __slots__ = ("model", "clock", "window", "_by_category", "_by_kind",
-                 "_node_bytes", "_windows", "_unpriced", "on_unpriced")
-
-    def __init__(
-        self,
-        model: Optional[CostModel] = None,
-        clock: Optional[Callable[[], float]] = None,
-        window: float = 10.0,
-    ) -> None:
-        if window <= 0:
-            raise ValueError("window must be positive")
+    def __init__(self, model: Optional[CostModel] = None) -> None:
         self.model = model if model is not None else CostModel()
-        self.clock = clock
-        self.window = float(window)
         # category -> [messages, bytes]; kind -> [messages, bytes]
         self._by_category: Dict[str, List[int]] = {}
         self._by_kind: Dict[str, List[int]] = {}
         self._node_bytes: Dict[int, int] = {}
-        # window index -> {category: bytes}
-        self._windows: Dict[int, Dict[str, int]] = {}
         # kind -> charges seen for kinds absent from the cost model; the
         # runtime twin of lint rule CONF001 (an unpriced kind still gets
         # the DEFAULT_COST fallback, but loudly instead of silently).
@@ -111,14 +98,6 @@ class CostLedger:
 
         if node is not None:
             self._node_bytes[node] = self._node_bytes.get(node, 0) + total
-
-        clock = self.clock
-        if clock is not None:
-            index = int(clock() / self.window)
-            bucket = self._windows.get(index)
-            if bucket is None:
-                bucket = self._windows[index] = {}
-            bucket[category] = bucket.get(category, 0) + total
         return total
 
     # ------------------------------------------------------------------ #
@@ -163,29 +142,6 @@ class CostLedger:
             for category, cell in sorted(self._by_category.items())
         }
 
-    def window_rates(self, node_count: int) -> List[dict]:
-        """Per-window bytes/node/sim-second, one row per elapsed window.
-
-        Only windows that saw traffic appear (sparse); each row carries
-        the window's start time so gaps are explicit.
-        """
-        if node_count <= 0:
-            raise ValueError("node_count must be positive")
-        scale = node_count * self.window
-        rows = []
-        for index in sorted(self._windows):
-            bucket = self._windows[index]
-            rows.append(
-                {
-                    "start": round(index * self.window, 6),
-                    "by_category": {
-                        category: round(spent / scale, 6)
-                        for category, spent in sorted(bucket.items())
-                    },
-                }
-            )
-        return rows
-
     def snapshot(self) -> dict:
         """Deterministic full dump: every axis sorted, plain types only."""
         return {
@@ -202,17 +158,6 @@ class CostLedger:
             "unpriced": self.unpriced,
             "nodes_charged": len(self._node_bytes),
             "top_nodes": self.top_nodes(5),
-            "window_seconds": self.window,
-            "windows": [
-                {
-                    "start": round(index * self.window, 6),
-                    "by_category": {
-                        category: spent
-                        for category, spent in sorted(bucket.items())
-                    },
-                }
-                for index, bucket in sorted(self._windows.items())
-            ],
         }
 
     def summary(self, top: int = 5) -> dict:

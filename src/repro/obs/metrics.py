@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import re
-from collections import defaultdict
 from typing import Dict, Iterable, List, Optional, Tuple
 
 LabelItems = Tuple[Tuple[str, str], ...]
@@ -187,22 +186,6 @@ class Histogram:
             return ordered[low]
         weight = rank - low
         return ordered[low] + weight * (ordered[high] - ordered[low])
-
-    def bucketize(self, bucket_width: float) -> Dict[float, int]:
-        """Group samples into fixed-width buckets keyed by bucket start."""
-        if bucket_width <= 0:
-            raise ValueError("bucket_width must be positive")
-        buckets: Dict[float, int] = defaultdict(int)
-        for sample in self.samples:
-            buckets[math.floor(sample / bucket_width) * bucket_width] += 1
-        return dict(buckets)
-
-    def frequency(self) -> Dict[float, int]:
-        """Exact value -> count map (useful for integer samples like hops)."""
-        freq: Dict[float, int] = defaultdict(int)
-        for sample in self.samples:
-            freq[sample] += 1
-        return dict(freq)
 
     def summary(self) -> Dict[str, float]:
         """A dict of the headline statistics, ready for table rendering."""

@@ -180,12 +180,11 @@ def _measure_costs(
 
     # --- maintenance bandwidth under seeded churn ---------------------- #
     # Keep-alive probing plus crash/restart repair traffic, on the
-    # discrete-event engine; the ledger clock bins charges into sim-time
-    # windows.  Coordinated adjacent failures are excluded: they need a
-    # full stabilize round, whose cost model is a different experiment.
+    # discrete-event engine.  Coordinated adjacent failures are excluded:
+    # they need a full stabilize round, whose cost model is a different
+    # experiment.
     engine = SimulationEngine()
     obs.clock = lambda: engine.now
-    ledger.clock = lambda: engine.now
     maintenance_before = (
         ledger.category_bytes(CATEGORY_REPAIR)
         + ledger.category_bytes(CATEGORY_LEAF_STABILIZE)
@@ -200,7 +199,6 @@ def _measure_costs(
             restarts=restarts,
             adjacent_boundary=0,
             adjacent_safe=0,
-            slow=0,
         ),
     )
     min_live = network.leaf_capacity + 1
@@ -237,7 +235,6 @@ def _measure_costs(
     engine.run(until=churn_duration)
     keepalive.stop()
     obs.clock = None
-    ledger.clock = None
 
     maintenance = (
         ledger.category_bytes(CATEGORY_REPAIR)
@@ -254,7 +251,6 @@ def _measure_costs(
         ),
         "faults_applied": dict(sorted(plan.injected.items())),
         "ledger_by_category": snapshot["by_category"],
-        "ledger_windows": snapshot["windows"],
     }
 
 

@@ -123,31 +123,3 @@ def join_network(
             messages=messages, route_hops=result.hops,
         )
     return messages
-
-
-def refine_node_state(network: "PastryNetwork", node: PastryNode) -> int:
-    """The optional second-stage state improvement.
-
-    The Pastry companion paper notes that after the basic arrival
-    protocol a node's routing table is proximally good but not optimal,
-    and describes an improvement round: the node asks each of the nodes
-    in its routing table and neighborhood set for *their* state, and
-    adopts any candidate that is proximally closer than the incumbent
-    for its slot.  Run periodically (or once, after joining), this is
-    what keeps table quality high as the network evolves.
-
-    Returns the number of messages used (two per queried node).
-    """
-    before = network.stats.counter("messages.refine").value
-    queried = set(node.state.routing_table.entries())
-    queried |= node.state.neighborhood.members()
-    for peer_id in sorted(queried):
-        if not network.is_live(peer_id):
-            node.state.forget(peer_id)
-            continue
-        network.count_message("refine", 2)  # state request + reply
-        peer = network.nodes[peer_id]
-        for candidate in peer.state.known_nodes() | {peer_id}:
-            if candidate != node.node_id and network.is_live(candidate):
-                node.state.learn(candidate)
-    return network.stats.counter("messages.refine").value - before

@@ -283,19 +283,6 @@ class LeafSet:
         pool = sorted(pool, key=lambda n: (distance(n, key), -n))
         return pool[:k]
 
-    def neighbours_adjacent_to_owner(self, count: int) -> List[int]:
-        """The *count* members nearest the owner on each side, interleaved
-        (used by keep-alive scheduling)."""
-        out: List[int] = []
-        for i in range(max(len(self._larger), len(self._smaller))):
-            if i < len(self._larger):
-                out.append(self._larger[i])
-            if i < len(self._smaller):
-                out.append(self._smaller[i])
-            if len(out) >= count:
-                break
-        return out[:count]
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         fmt = self.space.format_id
         return (

@@ -146,6 +146,12 @@ class PastryNetwork:
         # when installed, membership changes update node state in place
         # instead of requiring a full rebuild_state_oracle pass.
         self._oracle = None
+        # True while another rebuild_state_oracle would reproduce node
+        # state exactly: set by a perfect-quality rebuild (the sampled
+        # qualities re-draw their table picks on every rebuild), cleared
+        # by any membership change.  attach_incremental_oracle then skips
+        # its cold-start rebuild.
+        self._state_is_rebuild = False
 
     # ------------------------------------------------------------------ #
     # membership
@@ -165,6 +171,7 @@ class PastryNetwork:
         self.nodes[node_id] = node
         bisect.insort(self._live_sorted, node_id)
         self._live_index.add(node_id)
+        self._state_is_rebuild = False
         if self._oracle is not None:
             self._oracle.on_join(node_id)
         return node
@@ -193,6 +200,7 @@ class PastryNetwork:
             if index < len(self._live_sorted) and self._live_sorted[index] == node_id:
                 self._live_sorted.pop(index)
             self._live_index.discard(node_id)
+            self._state_is_rebuild = False
             if self._oracle is not None:
                 self._oracle.on_leave(node_id)
             if self.obs.enabled:
@@ -208,6 +216,7 @@ class PastryNetwork:
             node.alive = True
             bisect.insort(self._live_sorted, node_id)
             self._live_index.add(node_id)
+            self._state_is_rebuild = False
             if self._oracle is not None:
                 self._oracle.on_revive(node_id)
             if self.obs.enabled:
@@ -503,13 +512,15 @@ class PastryNetwork:
         batch_distance = self.topology.batch_distance
         for node_id in ids:
             self.nodes[node_id].state.reseed_neighborhood(batch_distance(node_id))
+        self._state_is_rebuild = self.table_quality == TABLE_QUALITY_PERFECT
 
     def attach_incremental_oracle(self):
         """Switch membership changes to in-place oracle maintenance.
 
         Requires node state consistent with ``rebuild_state_oracle`` of
-        the current membership (a fresh rebuild is run if the network is
-        non-empty, making the cold-start explicit).  After attachment,
+        the current membership: a fresh rebuild is run if the network is
+        non-empty, making the cold-start explicit, unless the state already
+        is a perfect-quality rebuild of this membership.  After attachment,
         ``add_node`` / ``mark_failed`` / ``mark_recovered`` update only
         the nodes whose leaf sets or routing-table cells actually change
         (one ring-window of leaf sets, one table cell per row), so a
@@ -520,7 +531,7 @@ class PastryNetwork:
         from repro.pastry.oracle import IncrementalOracle  # cycle guard
 
         if self._oracle is None:
-            if self._live_sorted:
+            if self._live_sorted and not self._state_is_rebuild:
                 self.rebuild_state_oracle()
             self._oracle = IncrementalOracle(self)
         return self._oracle

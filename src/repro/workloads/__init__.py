@@ -15,10 +15,7 @@ results depend on:
   (:mod:`repro.workloads.load_harness`).
 """
 
-from repro.workloads.capacities import (
-    bounded_normal_capacities,
-    uniform_capacities,
-)
+from repro.workloads.capacities import bounded_normal_capacities
 from repro.workloads.churn import ChurnEvent, poisson_churn_schedule
 from repro.workloads.filesizes import (
     FileSizeDistribution,
@@ -27,17 +24,15 @@ from repro.workloads.filesizes import (
     TraceLikeSizes,
 )
 from repro.workloads.load_harness import LoadHarness, LoadProfile, LoadReport
-from repro.workloads.popularity import ZipfPopularity, request_stream
+from repro.workloads.popularity import ZipfPopularity
 
 __all__ = [
     "FileSizeDistribution",
     "LognormalSizes",
     "ParetoSizes",
     "TraceLikeSizes",
-    "uniform_capacities",
     "bounded_normal_capacities",
     "ZipfPopularity",
-    "request_stream",
     "ChurnEvent",
     "poisson_churn_schedule",
     "LoadHarness",

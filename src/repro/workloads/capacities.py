@@ -16,17 +16,6 @@ from typing import Callable
 CapacityFn = Callable[[random.Random], int]
 
 
-def uniform_capacities(low: int, high: int) -> CapacityFn:
-    """Capacities uniform in [low, high] bytes."""
-    if low < 1 or high < low:
-        raise ValueError("need 1 <= low <= high")
-
-    def draw(rng: random.Random) -> int:
-        return rng.randint(low, high)
-
-    return draw
-
-
 def bounded_normal_capacities(
     mean: int, stddev_fraction: float = 0.4, min_ratio: float = 0.25, max_ratio: float = 4.0
 ) -> CapacityFn:
@@ -50,16 +39,5 @@ def bounded_normal_capacities(
             value = rng.gauss(mean, mean * stddev_fraction)
             if low <= value <= high:
                 return int(value)
-
-    return draw
-
-
-def fixed_capacities(capacity: int) -> CapacityFn:
-    """Every node advertises the same capacity (control condition)."""
-    if capacity < 1:
-        raise ValueError("capacity must be >= 1 byte")
-
-    def draw(rng: random.Random) -> int:
-        return capacity
 
     return draw

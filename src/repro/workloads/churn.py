@@ -57,11 +57,3 @@ def poisson_churn_schedule(
             t += rng.expovariate(rate)
     events.sort(key=lambda e: e.time)
     return events
-
-
-def session_lengths(rng: random.Random, count: int, mean: float) -> List[float]:
-    """Exponential node session lengths (time between a node's arrival
-    and its departure), used to pick departure victims realistically."""
-    if mean <= 0:
-        raise ValueError("mean session length must be positive")
-    return [rng.expovariate(1.0 / mean) for _ in range(count)]

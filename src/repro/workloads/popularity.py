@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import bisect
 import random
-from typing import Iterator, List, Sequence, TypeVar
+from typing import List, Sequence, TypeVar
 
 Item = TypeVar("Item")
 
@@ -54,23 +54,3 @@ class ZipfPopularity:
             raise ValueError("rank out of range")
         lower = self._cdf[rank - 2] if rank >= 2 else 0.0
         return self._cdf[rank - 1] - lower
-
-
-def request_stream(
-    rng: random.Random,
-    items: Sequence[Item],
-    count: int,
-    exponent: float = 1.0,
-) -> Iterator[Item]:
-    """A lazy stream of *count* Zipf-popular requests over *items*.
-
-    Popularity rank follows a random permutation of the items, so the
-    hot set is not correlated with insertion order.
-    """
-    if not items:
-        raise ValueError("cannot generate requests over no items")
-    ranked = list(items)
-    rng.shuffle(ranked)
-    zipf = ZipfPopularity(len(ranked), exponent)
-    for _ in range(count):
-        yield zipf.sample(rng, ranked)

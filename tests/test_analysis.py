@@ -17,7 +17,6 @@ from repro.analysis.experiments import (
 )
 from repro.analysis.stats import (
     coefficient_of_variation,
-    confidence_interval_95,
     mean,
     percentile,
     stddev,
@@ -48,14 +47,6 @@ class TestStats:
     def test_percentile_validation(self):
         with pytest.raises(ValueError):
             percentile([1], 101)
-
-    def test_confidence_interval_contains_mean(self):
-        values = [random.Random(0).gauss(10, 2) for _ in range(100)]
-        low, high = confidence_interval_95(values)
-        assert low < mean(values) < high
-
-    def test_confidence_interval_degenerate(self):
-        assert confidence_interval_95([5]) == (5, 5)
 
     def test_coefficient_of_variation(self):
         assert coefficient_of_variation([5, 5, 5]) == 0.0

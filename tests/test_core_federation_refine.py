@@ -1,4 +1,4 @@
-"""Tests for federation, trusted-community mode, and join refinement."""
+"""Tests for federation and trusted-community mode."""
 
 import random
 
@@ -9,9 +9,6 @@ from repro.core.errors import LookupFailedError
 from repro.core.federation import Federation, trusted_community_network
 from repro.core.files import RealData
 from repro.core.smartcard import make_uncertified_card
-from repro.pastry.join import refine_node_state
-from repro.pastry.network import PastryNetwork
-from repro.sim.rng import RngRegistry
 
 
 @pytest.fixture(scope="module")
@@ -114,47 +111,3 @@ class TestTrustedCommunity:
         member = PastClient(community, card, community.pastry.live_ids()[0])
         with pytest.raises(QuotaExceededError):
             member.insert("big", RealData(b"z" * 100), replication_factor=3)
-
-
-class TestJoinRefinement:
-    def test_refinement_never_worsens_proximity(self):
-        """After a refinement round, every routing-table entry is at
-        least as proximally close as before."""
-        network = PastryNetwork(rngs=RngRegistry(88))
-        network.build(120, method="join")
-        node = network.nodes[network.live_ids()[7]]
-        before = {
-            entry: node.proximity(entry)
-            for entry in node.state.routing_table.entries()
-        }
-        refine_node_state(network, node)
-        table = node.state.routing_table
-        for old_entry, old_distance in before.items():
-            slot = table.slot_for(old_entry)
-            current = table.lookup(*slot)
-            assert current is not None
-            assert node.proximity(current) <= old_distance + 1e-9
-
-    def test_refinement_counts_messages(self):
-        network = PastryNetwork(rngs=RngRegistry(89))
-        network.build(60, method="join")
-        node = network.nodes[network.live_ids()[0]]
-        used = refine_node_state(network, node)
-        assert used > 0
-        assert used % 2 == 0  # request/reply pairs
-
-    def test_refinement_prunes_dead_peers(self):
-        network = PastryNetwork(rngs=RngRegistry(90))
-        network.build(60, method="join")
-        node = network.nodes[network.live_ids()[0]]
-        victim = next(iter(node.state.routing_table.entries()))
-        network.mark_failed(victim)
-        refine_node_state(network, node)
-        assert victim not in node.state.known_nodes()
-
-    def test_invariants_after_refinement(self):
-        network = PastryNetwork(rngs=RngRegistry(91))
-        network.build(80, method="join")
-        for node_id in network.live_ids()[:20]:
-            refine_node_state(network, network.nodes[node_id])
-        network.check_all_invariants()

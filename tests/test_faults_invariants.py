@@ -7,15 +7,25 @@ deleted from a store, a tampered quota ledger -- and asserts the checker
 attributes the damage to the right invariant and nothing else.  A final
 test closes the loop: running the real repair machinery
 (:func:`purge_failed` / :func:`restore_replication`) restores a clean
-sweep.
+sweep.  ``TestEveryFaultKindActs`` runs each scheduled fault kind alone
+through the churn simulation and asserts its effect.
 """
 
 import pytest
 
+from repro.core.churn_sim import ChurnSimulation
 from repro.core.files import SyntheticData
 from repro.core.maintenance import restore_replication
 from repro.core.network import PastNetwork
 from repro.faults.invariants import InvariantChecker, Violation
+from repro.faults.plan import (
+    ADJACENT_FAILURE,
+    CRASH,
+    EVENT_KINDS,
+    RESTART,
+    FaultEvent,
+    FaultPlan,
+)
 from repro.obs.events import InvariantViolated
 from repro.obs.recorder import Observer
 from repro.pastry.failure import purge_failed
@@ -175,3 +185,37 @@ class TestViolationReporting:
         with pytest.raises(Exception):
             violation.detail = "rewritten"
         assert violation.node_id == 7
+
+
+# The change each scheduled fault kind makes to the live node count.
+ADJACENT_COUNT = LEAF_CAPACITY // 2 - 1
+LIVE_DELTA = {CRASH: -1, RESTART: +1, ADJACENT_FAILURE: -ADJACENT_COUNT}
+
+
+class TestEveryFaultKindActs:
+    """A kind in the fault schedule must do something the simulator can
+    see; a kind with no named effect here fails its case."""
+
+    @pytest.mark.parametrize("kind", EVENT_KINDS)
+    def test_kind_alone_moves_the_live_count(self, kind):
+        assert kind in LIVE_DELTA, f"fault kind {kind!r} has no named effect"
+        network, _, handles, checker, _ = build_deployment(seed=11)
+        pastry = network.pastry
+        if kind == RESTART:
+            # A restart needs a confirmed-dead node to bring back.
+            victim = pastry.live_ids()[5]
+            pastry.mark_failed(victim)
+            purge_failed(pastry, victim)
+            checker.confirm_dead(victim)
+        count = ADJACENT_COUNT if kind == ADJACENT_FAILURE else 1
+        plan = FaultPlan(seed=11, events=[FaultEvent(5.0, kind, count=count)])
+        before = pastry.live_count()
+        ChurnSimulation(
+            network, handles, arrival_rate=0.0, departure_rate=0.0,
+            maintenance_interval=None, lookup_interval=1.0,
+            fault_plan=plan, checker=checker,
+        ).run(10.0)
+        assert pastry.live_count() - before == LIVE_DELTA[kind]
+        assert plan.injected == {kind: 1}
+        assert checker.checks_run >= 1
+        assert checker.violations == []

@@ -12,8 +12,6 @@ import asyncio
 import json
 import random
 
-import pytest
-
 from repro.obs.cost_model import (
     CATEGORIES,
     CATEGORY_CONTROL,
@@ -72,24 +70,11 @@ class TestCostLedger:
         assert [entry["node"] for entry in top] == [7, 3]
         assert top[0]["bytes"] == 2 * top[1]["bytes"]
 
-    def test_windowed_rates_require_a_clock(self):
-        now = {"t": 0.0}
-        ledger = CostLedger(clock=lambda: now["t"], window=10.0)
-        ledger.charge("repair")
-        now["t"] = 25.0
-        ledger.charge("repair")
-        snapshot = ledger.snapshot()
-        assert [w["start"] for w in snapshot["windows"]] == [0.0, 20.0]
-
     def test_rates_are_bytes_per_node_per_second(self):
         ledger = CostLedger()
         ledger.charge("route", size=600)
         rates = ledger.rates(node_count=3, duration=100.0)
         assert rates["route"] == 2.0
-
-    def test_nonpositive_window_rejected(self):
-        with pytest.raises(ValueError):
-            CostLedger(window=0)
 
     def test_snapshot_is_json_stable(self):
         ledger = CostLedger()

@@ -1,50 +1,12 @@
 """Coverage for small utility paths the main suites route around."""
 
-import random
-
 import pytest
 
 from repro.core.files import SyntheticData
 from repro.core.messages import InsertOutcome, ReclaimOutcome
 from repro.core.network import PastNetwork
 from repro.core.storage_manager import summarize_utilization
-from repro.netsim.topology import WeightedGraphTopology
 from repro.sim.rng import RngRegistry
-
-
-class TestWeightedGraphTopology:
-    def test_distances_continuous(self):
-        topo = WeightedGraphTopology(random.Random(1), routers=40)
-        for address in range(10):
-            topo.add_endpoint(address)
-        distances = {topo.distance(0, b) for b in range(1, 10)}
-        # Weighted paths produce non-integral distances (unlike hop counts).
-        assert any(d != int(d) for d in distances)
-
-    def test_same_router_distance(self):
-        topo = WeightedGraphTopology(random.Random(2), routers=2)
-        # Force both endpoints onto the same router by retrying.
-        topo.add_endpoint(0)
-        topo.add_endpoint(1)
-        if topo._attachment[0] == topo._attachment[1]:
-            assert topo.distance(0, 1) == 1.0
-
-    def test_weight_validation(self):
-        with pytest.raises(ValueError):
-            WeightedGraphTopology(random.Random(0), min_weight=0)
-        with pytest.raises(ValueError):
-            WeightedGraphTopology(random.Random(0), min_weight=5, max_weight=1)
-
-    def test_connected(self):
-        topo = WeightedGraphTopology(random.Random(3), routers=30)
-        for address in range(15):
-            topo.add_endpoint(address)
-        import math
-
-        assert all(
-            topo.distance(a, b) < math.inf
-            for a in range(15) for b in range(15)
-        )
 
 
 class TestSummarizeUtilization:

@@ -6,18 +6,11 @@ import pytest
 
 from repro.netsim.latency import ProximityLatency, UniformLatency
 from repro.netsim.proximity import k_nearest, nearest, rank_by_proximity, route_stretch
-from repro.netsim.topology import (
-    EuclideanPlaneTopology,
-    RandomGraphTopology,
-    SphereTopology,
-    WeightedGraphTopology,
-)
+from repro.netsim.topology import EuclideanPlaneTopology, RandomGraphTopology
 
 TOPOLOGY_FACTORIES = [
     lambda rng: EuclideanPlaneTopology(rng),
-    lambda rng: SphereTopology(rng),
     lambda rng: RandomGraphTopology(rng, routers=50),
-    lambda rng: WeightedGraphTopology(rng, routers=50),
 ]
 
 
@@ -84,18 +77,6 @@ class TestEuclideanPlane:
     def test_invalid_side_rejected(self):
         with pytest.raises(ValueError):
             EuclideanPlaneTopology(random.Random(0), side=0)
-
-
-class TestSphere:
-    def test_max_distance_half_circumference(self):
-        topo = SphereTopology(random.Random(3), radius=1.0)
-        import math
-
-        for address in range(100):
-            topo.add_endpoint(address)
-        for a in range(0, 100, 7):
-            for b in range(0, 100, 11):
-                assert topo.distance(a, b) <= math.pi + 1e-9
 
 
 class TestRandomGraph:

@@ -166,20 +166,6 @@ class TestHistogramStatistics:
         assert histogram.minimum == -2
         assert histogram.maximum == 9
 
-    def test_bucketize(self):
-        histogram = Histogram()
-        histogram.extend([0.1, 0.9, 1.5, 2.2])
-        assert histogram.bucketize(1.0) == {0.0: 2, 1.0: 1, 2.0: 1}
-
-    def test_bucketize_rejects_nonpositive_width(self):
-        with pytest.raises(ValueError):
-            Histogram().bucketize(0)
-
-    def test_frequency(self):
-        histogram = Histogram()
-        histogram.extend([1, 1, 2])
-        assert histogram.frequency() == {1: 2, 2: 1}
-
     def test_summary_keys(self):
         histogram = Histogram()
         histogram.extend([1, 2, 3])

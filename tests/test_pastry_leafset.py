@@ -164,20 +164,6 @@ class TestReplicaCandidates:
         assert len(better) <= 2
 
 
-class TestNeighboursAdjacent:
-    def test_interleaves_sides(self):
-        ls = make_leafset()
-        for node in (1010, 1020, 990, 980):
-            ls.add(node)
-        assert ls.neighbours_adjacent_to_owner(4) == [1010, 990, 1020, 980]
-
-    def test_count_respected(self):
-        ls = make_leafset()
-        for node in (1010, 1020, 990, 980):
-            ls.add(node)
-        assert len(ls.neighbours_adjacent_to_owner(2)) == 2
-
-
 class TestLeafSetInvariantProperty:
     @given(st.sets(ids_16, min_size=1, max_size=60))
     @settings(max_examples=50)

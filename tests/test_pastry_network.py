@@ -4,6 +4,8 @@ import math
 
 import pytest
 
+from repro.obs.recorder import Observer
+from repro.pastry.join import join_network
 from repro.pastry.network import (
     TABLE_QUALITY_PERFECT,
     TABLE_QUALITY_RANDOM,
@@ -210,3 +212,54 @@ class TestTableQualityModes:
                 ]
                 best = min(candidates, key=lambda c: (node.proximity(c), c))
                 assert entry == best
+
+
+def _state(net):
+    """Leaf sides, table rows and neighborhood order of every live node."""
+    out = {}
+    for node_id in net.live_ids():
+        state = net.nodes[node_id].state
+        table = state.routing_table
+        out[node_id] = (
+            tuple(state.leaf_set.larger_side()),
+            tuple(state.leaf_set.smaller_side()),
+            tuple(tuple(table.row(row)) for row in range(net.space.digits)),
+            tuple(state.neighborhood.ordered_members()),
+        )
+    return out
+
+
+class TestAttachColdStart:
+    """``attach_incremental_oracle`` rebuilds only when node state is not
+    already what a rebuild would produce.  That holds at perfect quality
+    only: a sampled-quality rebuild re-draws its table picks, which
+    ``TestMaintainerDecisionsPinned`` (test_oracle_incremental.py) pins."""
+
+    def _built(self):
+        obs = Observer()
+        net = PastryNetwork(rngs=RngRegistry(5),
+                            table_quality=TABLE_QUALITY_PERFECT, observer=obs)
+        net.build(200, method="oracle")
+        return net, obs.metrics.counter("oracle.rebuilds")
+
+    def test_attach_after_oracle_build_reuses_the_build(self):
+        net, rebuilds = self._built()
+        net.attach_incremental_oracle()
+        assert rebuilds.value == 1
+        attached = _state(net)
+        net.detach_incremental_oracle()
+        net.rebuild_state_oracle()
+        assert attached == _state(net)
+
+    def test_protocol_join_in_between_forces_the_rebuild(self):
+        net, rebuilds = self._built()
+        node = net.add_node()
+        join_network(net, node, net._nearest_live_contact(node))
+        net.attach_incremental_oracle()
+        assert rebuilds.value == 2
+
+    def test_failure_in_between_forces_the_rebuild(self):
+        net, rebuilds = self._built()
+        net.mark_failed(net.live_ids()[3])
+        net.attach_incremental_oracle()
+        assert rebuilds.value == 2

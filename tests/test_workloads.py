@@ -6,20 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.workloads.capacities import (
-    bounded_normal_capacities,
-    fixed_capacities,
-    uniform_capacities,
-)
+from repro.workloads.capacities import bounded_normal_capacities
 from repro.workloads.churn import (
     ARRIVAL,
     DEPARTURE,
     ChurnEvent,
     poisson_churn_schedule,
-    session_lengths,
 )
 from repro.workloads.filesizes import LognormalSizes, ParetoSizes, TraceLikeSizes
-from repro.workloads.popularity import ZipfPopularity, request_stream
+from repro.workloads.popularity import ZipfPopularity
 
 
 class TestFileSizes:
@@ -75,15 +70,6 @@ class TestFileSizes:
 
 
 class TestCapacities:
-    def test_uniform_in_range(self):
-        draw = uniform_capacities(100, 200)
-        rng = random.Random(8)
-        assert all(100 <= draw(rng) <= 200 for _ in range(500))
-
-    def test_uniform_validation(self):
-        with pytest.raises(ValueError):
-            uniform_capacities(200, 100)
-
     def test_bounded_normal_within_ratio(self):
         draw = bounded_normal_capacities(1000, stddev_fraction=0.8,
                                          min_ratio=0.5, max_ratio=2.0)
@@ -95,10 +81,6 @@ class TestCapacities:
     def test_bounded_normal_validation(self):
         with pytest.raises(ValueError):
             bounded_normal_capacities(1000, min_ratio=1.5)
-
-    def test_fixed(self):
-        draw = fixed_capacities(777)
-        assert draw(random.Random(0)) == 777
 
 
 class TestZipf:
@@ -147,21 +129,6 @@ class TestZipf:
         for _ in range(20):
             assert 1 <= zipf.sample_rank(rng) <= n
 
-    def test_request_stream_skews_to_hot_items(self):
-        rng = random.Random(12)
-        items = list(range(100))
-        stream = list(request_stream(rng, items, 5000, exponent=1.0))
-        assert len(stream) == 5000
-        from collections import Counter
-
-        counts = Counter(stream)
-        top = counts.most_common(1)[0][1]
-        assert top > 5000 / 100 * 3  # far above the uniform share
-
-    def test_request_stream_empty_items(self):
-        with pytest.raises(ValueError):
-            list(request_stream(random.Random(0), [], 5))
-
 
 class TestChurn:
     def test_schedule_sorted(self):
@@ -196,12 +163,3 @@ class TestChurn:
         with pytest.raises(ValueError):
             poisson_churn_schedule(random.Random(0), duration=0, arrival_rate=1,
                                    departure_rate=1)
-
-    def test_session_lengths_mean(self):
-        rng = random.Random(16)
-        lengths = session_lengths(rng, 5000, mean=10.0)
-        assert sum(lengths) / len(lengths) == pytest.approx(10.0, rel=0.1)
-
-    def test_session_lengths_validation(self):
-        with pytest.raises(ValueError):
-            session_lengths(random.Random(0), 5, mean=0)
